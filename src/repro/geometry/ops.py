@@ -195,7 +195,9 @@ def _primitive_intersects(a: Geometry, b: Geometry) -> bool:
 def _primitive_contains(a: Geometry, b: Geometry) -> bool:
     """Interior-and-boundary containment of primitive *b* inside *a*."""
     if isinstance(a, Point):
-        return isinstance(b, Point) and a.equals(b)
+        # coordinates, not a.equals(b): equals is mutual containment,
+        # which would recurse back here
+        return isinstance(b, Point) and _primitive_intersects(a, b)
     if isinstance(a, LineString):
         if isinstance(b, Point):
             return any(on_segment((b.x, b.y), s, e) for s, e in a.segments())

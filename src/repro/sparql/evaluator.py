@@ -304,10 +304,26 @@ class _SpatialRestriction:
     """A pushed-down spatial constraint on a variable."""
 
     __slots__ = ("relation", "geometry")
+    #: The R-tree probe uses the constant geometry (no join partner).
+    partner = None
 
     def __init__(self, relation: str, geometry):
         self.relation = relation
         self.geometry = geometry
+
+
+class _SpatialJoin:
+    """A variable–variable spatial FILTER, seen from one of its variables.
+
+    ``relation`` reads "this variable *relation* ``?partner``"; the
+    R-tree probe uses the partner's bound geometry.
+    """
+
+    __slots__ = ("relation", "partner")
+
+    def __init__(self, relation: str, partner: str):
+        self.relation = relation
+        self.partner = partner
 
 
 def _extract_spatial_restrictions(
@@ -339,6 +355,37 @@ def _extract_spatial_restrictions(
             continue
         restrictions[var_arg.var.name] = _SpatialRestriction(relation, geom)
     return restrictions
+
+
+def _extract_spatial_joins(elements) -> Dict[str, List[_SpatialJoin]]:
+    """Find FILTER(geof:sfX(?a, ?b)) joins in a group.
+
+    Each join is listed under both of its variables, in filter order,
+    so whichever side is bound first can probe the other's R-tree
+    (``?b`` of ``sfContains(?a, ?b)`` is ``within ?a``). All seven
+    relations imply intersecting bounding boxes, which is what makes
+    the index probe a safe pre-filter.
+    """
+    joins: Dict[str, List[_SpatialJoin]] = {}
+    for el in elements:
+        if not isinstance(el, Filter):
+            continue
+        expr = el.expr
+        if not isinstance(expr, FunctionCall):
+            continue
+        relation = fns.SPATIAL_RELATIONS.get(expr.name)
+        if relation is None or len(expr.args) != 2:
+            continue
+        a, b = expr.args
+        if not (isinstance(a, VarExpr) and isinstance(b, VarExpr)):
+            continue
+        a, b = a.var.name, b.var.name
+        if a == b:
+            continue
+        joins.setdefault(a, []).append(_SpatialJoin(relation, b))
+        joins.setdefault(b, []).append(
+            _SpatialJoin(_invert_relation(relation), a))
+    return joins
 
 
 def _invert_relation(relation: str) -> str:

@@ -37,7 +37,11 @@ from .ast import (
     TriplePattern,
     Var,
 )
-from .functions import SparqlValueError, effective_boolean_value
+from .functions import (
+    SparqlValueError,
+    effective_boolean_value,
+    geometry_from_term,
+)
 from .results import Solution
 
 
@@ -160,6 +164,83 @@ def _extend_terms(pattern: TriplePattern, triple,
     return out
 
 
+# ---------------------------------------------------------------------------
+# Spatial leaves: an R-tree probe in place of a scan
+# ---------------------------------------------------------------------------
+
+class SpatialFilters:
+    """A group's pushable spatial FILTERs, as one store can serve them.
+
+    *restrictions* (``FILTER(geof:sfX(?v, <const>))``) and *joins*
+    (``FILTER(geof:sfX(?a, ?b))``) map a variable to its filters; both
+    stay in the plan and verify the exact relation, the leaf only
+    narrows the scan. :meth:`for_pattern` keeps what the store can
+    index: constants need ``spatial_candidates``, joins
+    ``spatial_join_candidates``.
+    """
+
+    __slots__ = ("restrictions", "joins", "_by_var")
+
+    def __init__(self, restrictions, joins, graph):
+        self.restrictions = restrictions
+        self.joins = joins
+        by_var: Dict[str, tuple] = {}
+        if hasattr(graph, "spatial_candidates"):
+            for name, restriction in restrictions.items():
+                by_var[name] = (restriction,)
+        if hasattr(graph, "spatial_join_candidates"):
+            for name, entries in joins.items():
+                by_var[name] = by_var.get(name, ()) + tuple(entries)
+        self._by_var = by_var
+
+    def for_pattern(self, pattern: TriplePattern) -> tuple:
+        """Filters that may turn *pattern*'s scan into an R-tree leaf."""
+        o = pattern.o
+        if isinstance(o, Var):
+            return self._by_var.get(o.name, ())
+        return ()
+
+
+def spatial_leaf(filters, pattern: TriplePattern, is_bound):
+    """The filter whose R-tree probe replaces a scan of *pattern*.
+
+    The one rule for spatial leaves, shared by the planner (estimates
+    and EXPLAIN, *is_bound* over plan-time bound variables) and the BGP
+    operator (per probe, over the live bindings). The subject and the
+    object must both be unbound — a bound one is already a narrower
+    probe. A constant restriction then always engages; a join engages
+    once its partner is bound, because the probe needs the partner's
+    geometry. ``None`` means a plain index scan.
+    """
+    if not filters:
+        return None
+    s = pattern.s
+    if not isinstance(s, Var) or is_bound(s.name) or is_bound(pattern.o.name):
+        return None
+    for spatial in filters:
+        if spatial.partner is None or is_bound(spatial.partner):
+            return spatial
+    return None
+
+
+def _leaf_candidates(leaf, partner, ctx) -> list:
+    """R-tree candidates for *leaf*: literals whose bbox meets the
+    constant's, or the *partner* term's geometry. An unparseable
+    partner yields none; the exact FILTER would drop the row anyway.
+    Budget-aware stores charge each candidate to the scan budget."""
+    graph = ctx.graph
+    kwargs = ({"budget": ctx.budget}
+              if ctx.budget is not None
+              and getattr(graph, "budget_aware", False) else {})
+    if leaf.partner is None:
+        return graph.spatial_candidates(leaf.geometry.bounds, **kwargs)
+    try:
+        geom = geometry_from_term(partner)
+    except SparqlValueError:
+        return []
+    return graph.spatial_join_candidates(geom, **kwargs)
+
+
 #: Block rows sampled per remaining pattern when re-estimating a
 #: suffix mid-query (each sample is an O(1) index-cardinality probe).
 REPLAN_SAMPLE = 8
@@ -183,11 +264,12 @@ class BGPOp(Operator):
     """
 
     def __init__(self, node, source, patterns: List[TriplePattern],
-                 restrictions: Dict[str, object], scan_nodes,
+                 spatial: SpatialFilters, scan_nodes,
                  signatures: Optional[List[str]] = None):
         super().__init__(node, source)
         self.patterns = patterns
-        self.restrictions = restrictions
+        #: per pattern, the spatial filters that may make it a leaf
+        self.spatial = [spatial.for_pattern(p) for p in patterns]
         self.scan_nodes = scan_nodes
         self.signatures = signatures or [None] * len(patterns)
 
@@ -263,6 +345,7 @@ class BGPOp(Operator):
         # runs once per enumerated triple.
         decode = graph.dictionary.decode
         budget = ctx.budget
+        spatial = self.spatial
         n = len(specs)
 
         def emit() -> Solution:
@@ -278,27 +361,18 @@ class BGPOp(Operator):
                 return
             last = i + 1 == n
             spec = specs[i]
-            pattern = self.patterns[i]
             scan_node = self.scan_nodes[i]
             scan_node.probes += 1
             s = spec[0] if isinstance(spec[0], int) else env.get(spec[0])
             p = spec[1] if isinstance(spec[1], int) else env.get(spec[1])
             o = spec[2] if isinstance(spec[2], int) else env.get(spec[2])
-            if (
-                o is None
-                and s is None
-                and isinstance(pattern.o, Var)
-                and pattern.o.name in self.restrictions
-                and hasattr(graph, "spatial_candidates")
-            ):
-                probes = self._spatial_probes(graph, s, p, pattern,
-                                              scan_node, ctx)
-                pre_charged = True
-            else:
+            leaf = self._leaf(i, env, row) if spatial[i] else None
+            if leaf is None:
                 probes = graph.triples_ids((s, p, o))
-                pre_charged = False
+            else:
+                probes = self._leaf_ids(leaf, i, s, p, env, row, ctx)
             for triple in probes:
-                if not pre_charged:
+                if leaf is None:  # leaf triples arrive charged
                     if budget is not None:
                         budget.charge_triples()
                     scan_node.actual_rows = (scan_node.actual_rows or 0) + 1
@@ -327,16 +401,29 @@ class BGPOp(Operator):
 
         yield from solve(0)
 
-    def _spatial_probes(self, graph, s, p, pattern, scan_node, ctx):
-        """Candidate triples via the R-tree spatial leaf."""
-        restriction = self.restrictions[pattern.o.name]
-        bounds = restriction.geometry.bounds
-        if ctx.budget is not None and getattr(graph, "budget_aware", False):
-            candidates = graph.spatial_candidates(bounds, budget=ctx.budget)
-        else:
-            candidates = graph.spatial_candidates(bounds)
+    def _leaf(self, i: int, env: Dict[str, int], row: Solution):
+        """The spatial filter probing pattern *i*'s R-tree, or ``None``
+        for a plain index scan. Callers skip the call for patterns
+        without spatial filters (the common, hot case).
+
+        A join partner may be bound in the BGP (*env*) or come in with
+        the input *row* (e.g. from outside an OPTIONAL group).
+        """
+        return spatial_leaf(self.spatial[i], self.patterns[i],
+                            lambda name: name in env or name in row)
+
+    def _leaf_ids(self, leaf, i: int, s, p, env: Dict[str, int],
+                  row: Solution, ctx):
+        """Id triples of pattern *i* whose object is an R-tree candidate,
+        each charged to the budget and counted on the scan node."""
+        graph = ctx.graph
+        partner = leaf.partner
+        if partner is not None:
+            partner = (graph.dictionary.decode(env[partner])
+                       if partner in env else row[partner])
+        scan_node = self.scan_nodes[i]
         lookup = graph.dictionary.lookup
-        for candidate in candidates:
+        for candidate in _leaf_candidates(leaf, partner, ctx):
             cand_id = lookup(candidate)
             if cand_id is None:
                 continue
@@ -376,7 +463,6 @@ class BGPOp(Operator):
         merge = self._merge_env
         block: List[Dict[str, int]] = [env0]
         for i, spec in enumerate(specs):
-            pattern = self.patterns[i]
             scan_node = self.scan_nodes[i]
             out: List[Dict[str, int]] = []
             for env in block:
@@ -384,17 +470,12 @@ class BGPOp(Operator):
                 s = spec[0] if isinstance(spec[0], int) else env.get(spec[0])
                 p = spec[1] if isinstance(spec[1], int) else env.get(spec[1])
                 o = spec[2] if isinstance(spec[2], int) else env.get(spec[2])
-                if (
-                    o is None
-                    and s is None
-                    and isinstance(pattern.o, Var)
-                    and pattern.o.name in self.restrictions
-                    and hasattr(graph, "spatial_candidates")
-                ):
+                leaf = self._leaf(i, env, row) if self.spatial[i] else None
+                if leaf is not None:
                     # spatial leaves stay tuple-at-a-time: the R-tree
                     # candidate walk is already the narrow path
-                    for triple in self._spatial_probes(graph, s, p, pattern,
-                                                       scan_node, ctx):
+                    for triple in self._leaf_ids(leaf, i, s, p, env, row,
+                                                 ctx):
                         merged = merge(spec, triple, env)
                         if merged is not None:
                             out.append(merged)
@@ -465,7 +546,7 @@ class BGPOp(Operator):
         while remaining and block:
             idx = remaining[0]
             out, new_order = self._run_stage(idx, block, specs, remaining,
-                                             aborted, ctx, ratio)
+                                             aborted, row, ctx, ratio)
             if new_order is not None:  # stage aborted mid-flight
                 aborted.add(idx)
                 self._note_replan(ctx, idx, new_order)
@@ -489,13 +570,12 @@ class BGPOp(Operator):
             yield out_row
 
     def _run_stage(self, idx: int, block, specs, remaining, aborted,
-                   ctx, ratio):
+                   row: Solution, ctx, ratio):
         """One pattern over one block; returns ``(out_block, None)`` or
         ``(None, new_order)`` when the stage aborted for a re-plan."""
         graph = ctx.graph
         budget = ctx.budget
         spec = specs[idx]
-        pattern = self.patterns[idx]
         scan_node = self.scan_nodes[idx]
         est = scan_node.est_rows if scan_node.est_rows else 1.0
         # A pattern may abort at most once (else a stubborn sample
@@ -508,21 +588,13 @@ class BGPOp(Operator):
             s = spec[0] if isinstance(spec[0], int) else env.get(spec[0])
             p = spec[1] if isinstance(spec[1], int) else env.get(spec[1])
             o = spec[2] if isinstance(spec[2], int) else env.get(spec[2])
-            if (
-                o is None
-                and s is None
-                and isinstance(pattern.o, Var)
-                and pattern.o.name in self.restrictions
-                and hasattr(graph, "spatial_candidates")
-            ):
-                probes = self._spatial_probes(graph, s, p, pattern,
-                                              scan_node, ctx)
-                pre_charged = True
-            else:
+            leaf = self._leaf(idx, env, row) if self.spatial[idx] else None
+            if leaf is None:
                 probes = graph.triples_ids((s, p, o))
-                pre_charged = False
+            else:
+                probes = self._leaf_ids(leaf, idx, s, p, env, row, ctx)
             for triple in probes:
-                if not pre_charged:
+                if leaf is None:  # leaf triples arrive charged
                     if budget is not None:
                         budget.charge_triples()
                     scan_node.actual_rows = (scan_node.actual_rows or 0) + 1
@@ -615,22 +687,11 @@ class BGPOp(Operator):
         graph = ctx.graph
         s, p, o = _substitute(pattern, solution)
 
-        if (
-            o is None
-            and s is None
-            and isinstance(pattern.o, Var)
-            and pattern.o.name in self.restrictions
-            and hasattr(graph, "spatial_candidates")
-        ):
-            restriction = self.restrictions[pattern.o.name]
-            bounds = restriction.geometry.bounds
-            if (ctx.budget is not None
-                    and getattr(graph, "budget_aware", False)):
-                candidates = graph.spatial_candidates(bounds,
-                                                      budget=ctx.budget)
-            else:
-                candidates = graph.spatial_candidates(bounds)
-            for candidate in candidates:
+        leaf = spatial_leaf(self.spatial[i], pattern, solution.__contains__)
+        if leaf is not None:
+            partner = (solution[leaf.partner]
+                       if leaf.partner is not None else None)
+            for candidate in _leaf_candidates(leaf, partner, ctx):
                 for triple in graph.triples((s, p, candidate)):
                     charge_scan(ctx)
                     scan_node.actual_rows = (scan_node.actual_rows or 0) + 1

@@ -14,7 +14,10 @@ front so execution is a pure pull of iterators:
   as the SPARQL semantics allow;
 - **spatial pushdown** — ``FILTER(geof:sfX(?var, <const>))`` marks the
   scan of ``?var`` as a spatial-index leaf (Strabon's R-tree) and
-  discounts its cost estimate;
+  discounts its cost estimate; ``FILTER(geof:sfX(?a, ?b))`` does the
+  same for the scan of one side once the other is bound (an index
+  spatial join: R-tree probe with the bound geometry, then the FILTER
+  verifies the exact relation);
 - **top-k short-circuit** — ORDER BY + LIMIT (without DISTINCT)
   becomes a bounded-heap TopK instead of a full sort.
 
@@ -296,19 +299,18 @@ SOURCE_FEEDBACK = "feedback"
 SOURCE_DEFAULT = "default"
 
 
-def _pattern_is_spatial(pattern: TriplePattern, bound: Set[str], graph,
-                        restrictions) -> bool:
-    return (
-        isinstance(pattern.o, Var)
-        and pattern.o.name not in bound
-        and pattern.o.name in restrictions
-        and hasattr(graph, "spatial_candidates")
-    )
+def _spatial_leaf(pattern: TriplePattern, bound: Set[str],
+                  spatial: "ops.SpatialFilters"):
+    """The spatial filter making *pattern* an R-tree leaf, or ``None``."""
+    filters = spatial.for_pattern(pattern)
+    if not filters:
+        return None
+    return ops.spatial_leaf(filters, pattern, bound.__contains__)
 
 
 def estimate_pattern_detail(
-    pattern: TriplePattern, bound: Set[str], graph, restrictions,
-    stats=None,
+    pattern: TriplePattern, bound: Set[str], graph,
+    spatial: "ops.SpatialFilters", stats=None,
 ) -> Tuple[float, str, str]:
     """Estimated matches for one probe of *pattern*, with provenance.
 
@@ -320,13 +322,14 @@ def estimate_pattern_detail(
     distinct-term count for that position; graphs without the id
     protocol fall back to size-based guessing (``default``), unless
     they expose their own ``feedback_estimate`` (the federation view's
-    harvest-fed source-selection estimates). Spatially-restricted
-    unbound object variables get the R-tree discount — except under
-    feedback, whose recorded actuals already include it.
+    harvest-fed source-selection estimates). R-tree leaves (constant
+    restrictions, and joins whose partner is bound) get the spatial
+    discount — except under feedback, whose recorded actuals already
+    include it.
     """
     positions = (pattern.s, pattern.p, pattern.o)
-    spatial = _pattern_is_spatial(pattern, bound, graph, restrictions)
-    signature = stats_mod.pattern_signature(pattern, bound, spatial=spatial)
+    leaf = _spatial_leaf(pattern, bound, spatial) is not None
+    signature = stats_mod.pattern_signature(pattern, bound, spatial=leaf)
     if stats is not None:
         feedback = stats.estimate(signature)
         if feedback is not None:
@@ -365,28 +368,30 @@ def estimate_pattern_detail(
             if not isinstance(node, Var) or node.name in bound:
                 est /= TERM_MODE_BOUND_FACTOR
         source = SOURCE_DEFAULT
-    if spatial:
+    if leaf:
         est *= SPATIAL_DISCOUNT
     return est, source, signature
 
 
 def estimate_pattern(pattern: TriplePattern, bound: Set[str], graph,
-                     restrictions, stats=None) -> float:
+                     spatial: "ops.SpatialFilters", stats=None) -> float:
     """Estimated matches for one probe of *pattern* (see
     :func:`estimate_pattern_detail` for the provenance-carrying form)."""
     est, __, __ = estimate_pattern_detail(pattern, bound, graph,
-                                          restrictions, stats=stats)
+                                          spatial, stats=stats)
     return est
 
 
 def order_patterns(patterns: Sequence[TriplePattern], bound: Set[str],
-                   graph, restrictions, stats=None
+                   graph, spatial: "ops.SpatialFilters", stats=None
                    ) -> List[Tuple[TriplePattern, float, str, str]]:
     """Greedy cardinality-based join order.
 
     Repeatedly picks the pattern with the smallest estimated match
     count given the variables bound so far; ties break on original
-    pattern order, keeping plans deterministic. Each entry is
+    pattern order, keeping plans deterministic. A spatial join leaf
+    becomes cheap (discounted) only once its partner is bound, so it
+    follows the partner's scan. Each entry is
     ``(pattern, est, source, signature)``.
     """
     bound = set(bound)
@@ -396,7 +401,7 @@ def order_patterns(patterns: Sequence[TriplePattern], bound: Set[str],
         best_i, best = 0, None
         for i, (orig, pat) in enumerate(remaining):
             detail = estimate_pattern_detail(pat, bound, graph,
-                                             restrictions, stats=stats)
+                                             spatial, stats=stats)
             if best is None or detail[0] < best[0]:
                 best_i, best = i, detail
         __, pattern = remaining.pop(best_i)
@@ -470,19 +475,22 @@ def compile_group(group: GroupGraphPattern, ctx, source: "ops.Operator",
     variable names known to be bound in incoming rows (used for join
     ordering) and is updated in place as elements bind more.
     """
-    from .evaluator import _extract_spatial_restrictions
+    from .evaluator import (_extract_spatial_joins,
+                            _extract_spatial_restrictions)
 
-    restrictions = _extract_spatial_restrictions(group.elements, ctx)
+    spatial = ops.SpatialFilters(
+        _extract_spatial_restrictions(group.elements, ctx),
+        _extract_spatial_joins(group.elements), ctx.graph)
     top = source
     for element in _place_filters(group.elements):
         in_est = top.node.est_rows or 1.0
         if isinstance(element, Filter):
-            node = PlanNode("Filter", _filter_detail(element, restrictions),
+            node = PlanNode("Filter", _filter_detail(element, spatial),
                             est_rows=in_est * FILTER_SELECTIVITY)
             node.children.append(top.node)
             top = ops.FilterOp(node, top, element.expr)
         elif isinstance(element, BGP):
-            top = _compile_bgp(element, ctx, top, bound, restrictions)
+            top = _compile_bgp(element, ctx, top, bound, spatial)
         elif isinstance(element, OptionalPattern):
             sub = compile_subplan(element.group, ctx, set(bound))
             node = PlanNode("LeftJoin", "optional",
@@ -580,9 +588,10 @@ def _arm_spill(node: PlanNode, ctx) -> None:
         node.spill = 0
 
 
-def _filter_detail(element: Filter, restrictions) -> str:
+def _filter_detail(element: Filter, spatial: "ops.SpatialFilters") -> str:
     mentioned = expr_variables(element.expr)
-    pushed = sorted(v for v in mentioned if v in restrictions)
+    pushed = sorted(v for v in mentioned
+                    if v in spatial.restrictions or v in spatial.joins)
     if pushed:
         return "spatial on ?" + " ?".join(pushed)
     if _expr_has_exists(element.expr):
@@ -599,10 +608,10 @@ def compile_subplan(group: GroupGraphPattern, ctx,
 
 
 def _compile_bgp(bgp: BGP, ctx, source: "ops.Operator", bound: Set[str],
-                 restrictions) -> "ops.Operator":
+                 spatial: "ops.SpatialFilters") -> "ops.Operator":
     graph = ctx.graph
     stats = getattr(ctx, "stats", None)
-    ordered = order_patterns(bgp.patterns, bound, graph, restrictions,
+    ordered = order_patterns(bgp.patterns, bound, graph, spatial,
                              stats=stats)
     in_est = source.node.est_rows or 1.0
     scan_nodes: List[PlanNode] = []
@@ -621,15 +630,13 @@ def _compile_bgp(bgp: BGP, ctx, source: "ops.Operator", bound: Set[str],
     batched = (not adaptive and batch_size is not None
                and hasattr(graph, "scan_batches"))
     for pattern, est, est_source, signature in ordered:
-        spatial = (
-            isinstance(pattern.o, Var)
-            and pattern.o.name in restrictions
-            and hasattr(graph, "spatial_candidates")
-        )
-        label = "SpatialIndexScan" if spatial else "IndexScan"
+        leaf = _spatial_leaf(pattern, bound, spatial)
+        label = "IndexScan" if leaf is None else "SpatialIndexScan"
         detail = pattern_text(pattern)
-        if spatial:
-            detail += f" [rtree:{restrictions[pattern.o.name].relation}]"
+        if leaf is not None and leaf.partner is None:
+            detail += f" [rtree:{leaf.relation}]"
+        elif leaf is not None:
+            detail += f" [rtree-join:{leaf.relation} ?{leaf.partner}]"
         scan_node = PlanNode(label, detail, est_rows=est)
         scan_node.est_source = est_source
         scan_node.signature = signature
@@ -659,7 +666,7 @@ def _compile_bgp(bgp: BGP, ctx, source: "ops.Operator", bound: Set[str],
     node.children.append(source.node)
     node.children.extend(scan_nodes)
     return ops.BGPOp(node, source, [entry[0] for entry in ordered],
-                     restrictions, scan_nodes, signatures=signatures)
+                     spatial, scan_nodes, signatures=signatures)
 
 
 # ---------------------------------------------------------------------------

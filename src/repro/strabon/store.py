@@ -4,10 +4,12 @@ Reproduces the query-relevant behaviour of Strabon [Kyzirakos et al.,
 ISWC 2012; Bereta et al., ESWC 2013]:
 
 - **materialized storage** of RDF with GeoSPARQL geometry literals;
-- a **spatial index** (STR-packed R-tree) over every ``geo:wktLiteral``
-  object, exposed to the SPARQL evaluator through the
-  ``spatial_candidates`` hook, turning spatial selections into index
-  lookups (Strabon's PostGIS GiST role);
+- a **spatial index** (STR-packed R-tree) over every object literal
+  that parses as WKT — ``geo:wktLiteral`` or plain, exactly what the
+  GeoSPARQL functions accept — exposed to the SPARQL evaluator through
+  the ``spatial_candidates`` / ``spatial_join_candidates`` hooks,
+  turning spatial selections and spatial joins into index lookups
+  (Strabon's PostGIS GiST role);
 - **valid time of triples** (stRDF): each triple may carry a
   ``[start, end)`` interval; snapshots, interval queries and temporal
   joins are supported (the ESWC 2013 contribution);
@@ -22,12 +24,11 @@ import sqlite3
 from datetime import datetime
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..geometry import Geometry, STRtree, bbox_intersects
+from ..geometry import Geometry, STRtree
 from ..geometry import wkt_loads
 from ..rdf.graph import Graph
 from ..rdf.terms import (
     BNode,
-    GEO_WKT_LITERAL,
     IRI,
     Literal,
     Term,
@@ -60,13 +61,16 @@ class StrabonStore(Graph):
         super().add(triple)
         if len(self) != before:
             obj = triple.o
-            if isinstance(obj, Literal) and obj.datatype == GEO_WKT_LITERAL:
-                if obj not in self._geometry_literals:
-                    try:
-                        self._geometry_literals[obj] = wkt_loads(obj.lexical)
-                        self._rtree = None
-                    except Exception:
-                        pass  # malformed WKT stays queryable, not indexed
+            # Every parseable literal is indexed, typed or plain, since
+            # the FILTER functions accept both; all WKT has a "(", so
+            # the cheap pre-check skips numeric and name literals.
+            if (isinstance(obj, Literal) and "(" in obj.lexical
+                    and obj not in self._geometry_literals):
+                try:
+                    self._geometry_literals[obj] = wkt_loads(obj.lexical)
+                    self._rtree = None
+                except Exception:
+                    pass  # malformed WKT stays queryable, not indexed
         return self
 
     def remove(self, triple_or_s, p=None, o=None) -> "StrabonStore":
@@ -114,6 +118,14 @@ class StrabonStore(Graph):
 
     def spatial_join_candidates(self, geom: Geometry,
                                 budget=None) -> List[Literal]:
+        """Geometry literals whose bbox intersects *geom*'s.
+
+        The filter step of the evaluator's index spatial join: the
+        scan of ``?b`` under ``FILTER(geof:sfX(?a, ?b))`` enumerates
+        only these, probed with the bound ``?a``'s geometry; the FILTER
+        then verifies the exact relation. Charged like
+        :meth:`spatial_candidates`.
+        """
         return self.spatial_candidates(geom.bounds, budget=budget)
 
     @property

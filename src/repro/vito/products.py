@@ -18,6 +18,7 @@ rasters with the properties the downstream experiments rely on:
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from typing import Callable, Optional, Sequence, Tuple
@@ -166,8 +167,10 @@ def generate_product(spec: ProductSpec, day: date,
     season = seasonal_factor(day)
     field = spec.base_level + spec.seasonal_amplitude * season * g_field
 
+    # crc32, not hash(): str hashes are salted per process, and one
+    # seed must give the same product in every process.
     rng = np.random.default_rng(
-        (seed, hash(spec.name) & 0xFFFF, _day_number(day))
+        (seed, zlib.crc32(spec.name.encode()) & 0xFFFF, _day_number(day))
     )
     noise_scale = 0.15 / (1 + version)  # RT1 is twice as clean as RT0
     field = field * (1 + rng.normal(0.0, noise_scale, size=field.shape))

@@ -9,6 +9,7 @@ ambient alternatives so a new call site fails CI instead of silently
 introducing nondeterminism.
 """
 
+import ast
 import pathlib
 import re
 
@@ -64,6 +65,54 @@ def test_src_has_no_ambient_time_or_randomness():
         "nondeterministic call sites (inject a clock / seed an RNG):\n"
         + "\n".join(offenders)
     )
+
+
+def salted_hash_calls(root, prefix=""):
+    """Calls of the builtin ``hash()`` outside ``__hash__`` methods.
+
+    Python salts str/bytes hashes per process (``PYTHONHASHSEED``), so
+    a hash that seeds an RNG, routes a shard or names a file differs
+    from run to run. Inside ``__hash__`` it only feeds in-process dicts
+    and sets, which is what it is for.
+    """
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, in_dunder_hash):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                in_dunder_hash = node.name == "__hash__"
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "hash" and not in_dunder_hash):
+                offenders.append(f"{prefix}{rel}:{node.lineno}: "
+                                 "builtin hash() is salted per process")
+            for child in ast.iter_child_nodes(node):
+                visit(child, in_dunder_hash)
+
+        visit(tree, False)
+    return offenders
+
+
+def test_src_has_no_salted_hash_outside_dunder_hash():
+    offenders = (salted_hash_calls(SRC, prefix="src/")
+                 + salted_hash_calls(BENCHMARKS, prefix="benchmarks/"))
+    assert not offenders, (
+        "use a stable digest (zlib.crc32, hashlib) instead:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_salted_hash_lint_flags_a_seeding_call(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class K:\n"
+        "    def __hash__(self):\n"
+        "        return hash(self.key)\n"
+        "def rng(name):\n"
+        "    return Random(hash(name))\n")
+    assert salted_hash_calls(tmp_path) == [
+        "mod.py:5: builtin hash() is salted per process"]
 
 
 #: The chaos layer gets a stricter bar than the rest of src: a chaos

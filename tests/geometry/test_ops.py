@@ -145,6 +145,13 @@ class TestEqualsDisjoint:
         b = Polygon([(1, 0), (1, 1), (0, 1), (0, 0)])
         assert ops.equals(a, b)
 
+    def test_point_point_equals_and_contains(self):
+        # used to recurse: equals -> contains -> Point.equals -> equals
+        assert ops.equals(Point(2, 2), Point(2, 2))
+        assert ops.contains(Point(2, 2), Point(2, 2))
+        assert not ops.equals(Point(2, 2), Point(2, 3))
+        assert not ops.contains(Point(2, 2), Point(2, 3))
+
     def test_disjoint(self):
         assert ops.disjoint(UNIT, Polygon.box(5, 5, 6, 6))
         assert not ops.disjoint(UNIT, BIG)

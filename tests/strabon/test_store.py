@@ -5,7 +5,8 @@ from datetime import datetime, timezone
 import pytest
 
 from repro.geometry import Point, Polygon, to_wkt_literal
-from repro.rdf import GEO, GEO_WKT_LITERAL, Graph, IRI, Literal, RDF, Triple
+from repro.rdf import (GEO, GEO_WKT_LITERAL, Graph, IRI, Literal, RDF, Triple,
+                       XSD)
 from repro.strabon import StrabonStore
 
 EX = "http://example.org/"
@@ -102,6 +103,54 @@ class TestSpatialIndex:
         slow = {str(r["f"]) for r in plain.query(query)}
         assert fast == slow
         assert len(fast) == 7
+
+    def test_numeric_literals_not_indexed(self, store):
+        store.add(ex("f0"), ex("lai"), Literal("2.5", datatype=XSD.double))
+        assert store.indexed_geometry_count == 20
+
+
+class TestPlainLiteralWkt:
+    """The FILTER functions accept plain-literal WKT, so the R-tree must
+    index it too, or both spatial leaves silently drop those rows."""
+
+    @staticmethod
+    def _graphs():
+        graphs = StrabonStore(), Graph()
+        for graph in graphs:
+            graph.add(ex("a"), GEO.asWKT, Literal("POINT(1 1)"))
+            graph.add(ex("b"), GEO.asWKT,
+                      Literal("POLYGON((0 0, 2 0, 2 2, 0 2, 0 0))"))
+        return graphs
+
+    def test_plain_literal_is_indexed(self):
+        store, __ = self._graphs()
+        assert store.indexed_geometry_count == 2
+
+    def test_constant_leaf(self):
+        text = PREFIX + """
+            SELECT ?x WHERE {
+              ?x geo:asWKT ?w .
+              FILTER(geof:sfIntersects(?w,
+                "POLYGON((0.5 0.5, 1.5 0.5, 1.5 1.5, 0.5 1.5, 0.5 0.5))"^^geo:wktLiteral))
+            }"""
+        store, plain = self._graphs()
+        assert "[rtree:" in store.explain(text)
+        fast = sorted(str(r["x"]) for r in store.query(text))
+        assert fast == sorted(str(r["x"]) for r in plain.query(text))
+        assert fast == [EX + "a", EX + "b"]
+
+    def test_join_leaf(self):
+        text = PREFIX + """
+            SELECT ?x ?y WHERE {
+              ?x geo:asWKT ?wx . ?y geo:asWKT ?wy .
+              FILTER(geof:sfWithin(?wx, ?wy))
+              FILTER(?x != ?y)
+            }"""
+        store, plain = self._graphs()
+        assert "[rtree-join:" in store.explain(text)
+        fast = sorted((str(r["x"]), str(r["y"])) for r in store.query(text))
+        slow = sorted((str(r["x"]), str(r["y"])) for r in plain.query(text))
+        assert fast == slow == [(EX + "a", EX + "b")]
 
 
 class TestValidTime:

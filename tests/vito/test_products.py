@@ -1,5 +1,9 @@
 """Synthetic product generator tests."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from datetime import date
 
 import numpy as np
@@ -114,3 +118,29 @@ def test_dekad_dates():
 def test_ndvi_range():
     ds = generate_product(NDVI_SPEC, date(2018, 7, 1), cloud_fraction=0)
     assert ds["NDVI"].data.max() <= NDVI_SPEC.valid_max + 1e-6
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from datetime import date
+from repro.vito import LAI_SPEC, NDVI_SPEC, generate_product
+digest = hashlib.sha256()
+for spec in (LAI_SPEC, NDVI_SPEC):
+    ds = generate_product(spec, date(2018, 6, 1), seed=7)
+    digest.update(ds[spec.name].data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_product_is_identical_across_processes():
+    """Str hashes are salted per process; the product RNG must not be."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
