@@ -13,7 +13,7 @@ to the serial run regardless of worker count.
 See DESIGN.md "Parallel execution" for the determinism rules.
 """
 
-from .partition import chunk_count, chunk_list, merge_sorted_runs
+from .partition import chunk_count, chunk_list
 from .pool import (
     SerialExecutor,
     TaskOutcome,
@@ -30,5 +30,4 @@ __all__ = [
     "WorkerDeath",
     "chunk_list",
     "chunk_count",
-    "merge_sorted_runs",
 ]

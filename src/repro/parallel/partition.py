@@ -10,8 +10,7 @@ only the worker count.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Iterator, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -27,20 +26,6 @@ def chunk_list(items: Sequence[T], n_chunks: int) -> List[List[T]]:
         return [items] if items else []
     size = max(1, (len(items) + n_chunks - 1) // n_chunks)
     return [items[i: i + size] for i in range(0, len(items), size)]
-
-
-def merge_sorted_runs(runs: Iterable[Sequence[T]]) -> Iterator[T]:
-    """Merge individually-sorted runs into one globally-sorted stream.
-
-    The canonical recombination step for partitioned scans: each task
-    returns its matches as a sorted run, and the merged order depends
-    only on the run *contents* — not on the partition count, the worker
-    count, or task completion order. The sharded RDF data plane
-    (``repro.rdf.shards``) funnels every unbound-subject scan through
-    this merge so query results stay byte-identical at any
-    shard x worker combination.
-    """
-    return heapq.merge(*runs)
 
 
 def chunk_count(n_items: int, n_chunks: int) -> int:

@@ -30,7 +30,6 @@ from .namespace import (
     XSD,
 )
 from .crawler import CrawlReport, DocumentStore, RdfCrawler, sniff_format
-from .shards import DEFAULT_BATCH_SIZE, IndexShard, ShardedIndex, shard_of
 from .ntriples import ParseError, parse_ntriples, serialize_ntriples
 from .reasoner import materialize_inferences, rdfs_closure
 from .rdfxml import parse_rdfxml, serialize_rdfxml
@@ -51,14 +50,10 @@ __all__ = [
     "BNode",
     "CrawlReport",
     "DocumentStore",
-    "DEFAULT_BATCH_SIZE",
     "Graph",
-    "IndexShard",
     "NO_TERM",
     "RdfCrawler",
-    "ShardedIndex",
     "TermDictionary",
-    "shard_of",
     "materialize_inferences",
     "rdfs_closure",
     "sniff_format",

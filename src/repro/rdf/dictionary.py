@@ -15,7 +15,7 @@ deterministic for a given insertion sequence.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .terms import Term
 
@@ -45,21 +45,6 @@ class TermDictionary:
     def lookup(self, term: Term) -> Optional[int]:
         """The id of *term* if already interned, else ``None``."""
         return self._ids.get(term)
-
-    def encode_batch(self, terms: Iterable[Term]) -> List[int]:
-        """Intern a batch of terms, returning their ids in order.
-
-        The bulk-load companion of :meth:`encode` for the batched data
-        plane: loaders hand over whole term columns instead of calling
-        ``encode`` per triple position.
-        """
-        encode = self.encode
-        return [encode(term) for term in terms]
-
-    def decode_batch(self, term_ids: Iterable[int]) -> List[Term]:
-        """Decode a flat batch of ids (raises on any unknown id)."""
-        decode = self.decode
-        return [decode(term_id) for term_id in term_ids]
 
     def decode(self, term_id: int) -> Term:
         """The term for an id; raises ``KeyError`` for unknown ids.

@@ -19,13 +19,10 @@ The id level is exposed deliberately:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
-
-from ..parallel.partition import merge_sorted_runs
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from .dictionary import TermDictionary
 from .namespace import NamespaceManager
-from .shards import DEFAULT_BATCH_SIZE, ShardedIndex
 from .terms import BNode, IRI, Literal, Term, Triple
 
 Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
@@ -34,25 +31,12 @@ IdTriple = Tuple[int, int, int]
 
 
 class Graph:
-    """A set of triples with id-keyed pattern indexes and I/O helpers.
+    """A set of triples with id-keyed pattern indexes and I/O helpers."""
 
-    With ``shards=N`` the SPO/POS/OSP indexes are partitioned into N
-    hash-sharded segments (:mod:`repro.rdf.shards`) routed by a stable
-    hash of the subject id; scans merge back into a canonical order
-    that is byte-identical at any shard count. ``shards=None`` (the
-    default) keeps the original single-segment indexes and their
-    insertion-order scan semantics. ``shards=1`` is *not* the same as
-    ``None``: it uses the sharded code path (canonical ordering), so
-    results can be compared across shards 1/2/4.
-    """
-
-    def __init__(self, identifier: Optional[str] = None,
-                 shards: Optional[int] = None):
+    def __init__(self, identifier: Optional[str] = None):
         self.identifier = identifier
         self.dictionary = TermDictionary()
         self._ids: Set[IdTriple] = set()
-        self._shards: Optional[ShardedIndex] = (
-            ShardedIndex(shards) if shards is not None else None)
         self._spo: Dict[int, Dict[int, Set[int]]] = {}
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
@@ -60,12 +44,6 @@ class Graph:
         self._s_count: Dict[int, int] = {}
         self._p_count: Dict[int, int] = {}
         self._o_count: Dict[int, int] = {}
-        #: Optional injected per-shard scan cost hook, called as
-        #: ``scan_cost(shard_index, n_matches)`` inside each shard scan
-        #: task of :meth:`scan_batches`. Benchmarks inject a simulated
-        #: IO cost here so the shard×worker sweep measures overlap; the
-        #: library itself never sets it.
-        self.scan_cost = None
         self.namespaces = NamespaceManager()
 
     # -- mutation ---------------------------------------------------------
@@ -79,12 +57,9 @@ class Graph:
             return self
         self._ids.add(key)
         s, pp, oo = key
-        if self._shards is not None:
-            self._shards.add(s, pp, oo)
-        else:
-            self._spo.setdefault(s, {}).setdefault(pp, set()).add(oo)
-            self._pos.setdefault(pp, {}).setdefault(oo, set()).add(s)
-            self._osp.setdefault(oo, {}).setdefault(s, set()).add(pp)
+        self._spo.setdefault(s, {}).setdefault(pp, set()).add(oo)
+        self._pos.setdefault(pp, {}).setdefault(oo, set()).add(s)
+        self._osp.setdefault(oo, {}).setdefault(s, set()).add(pp)
         self._s_count[s] = self._s_count.get(s, 0) + 1
         self._p_count[pp] = self._p_count.get(pp, 0) + 1
         self._o_count[oo] = self._o_count.get(oo, 0) + 1
@@ -108,12 +83,9 @@ class Graph:
                 continue
             self._ids.discard(key)
             s, pp, oo = key
-            if self._shards is not None:
-                self._shards.discard(s, pp, oo)
-            else:
-                self._index_discard(self._spo, s, pp, oo)
-                self._index_discard(self._pos, pp, oo, s)
-                self._index_discard(self._osp, oo, s, pp)
+            self._index_discard(self._spo, s, pp, oo)
+            self._index_discard(self._pos, pp, oo, s)
+            self._index_discard(self._osp, oo, s, pp)
             self._count_decrement(self._s_count, s)
             self._count_decrement(self._p_count, pp)
             self._count_decrement(self._o_count, oo)
@@ -236,14 +208,6 @@ class Graph:
             if ids in self._ids:
                 yield ids
             return
-        if self._shards is not None:
-            if s is None and p is None and o is None:
-                # the global triple set's insertion history is the same
-                # at every shard count, so this order is already stable
-                yield from self._ids
-            else:
-                yield from self._shards.matching(ids)
-            return
         if s is not None:
             by_p = self._spo.get(s)
             if not by_p:
@@ -302,8 +266,6 @@ class Graph:
             return self._o_count.get(o, 0)
         if bound == (True, True, True):
             return 1 if ids in self._ids else 0
-        if self._shards is not None:
-            return self._shards.pair_cardinality(ids)
         if bound == (True, True, False):
             return len(self._spo.get(s, {}).get(p, ()))
         if bound == (False, True, True):
@@ -314,92 +276,15 @@ class Graph:
     def distinct_counts(self) -> Tuple[int, int, int]:
         """(distinct subjects, predicates, objects) currently indexed."""
         # the count dicts hold exactly one key per distinct term in the
-        # corresponding position, so this matches the old per-index
-        # shell sizes and works identically for sharded graphs
+        # corresponding position
         return len(self._s_count), len(self._p_count), len(self._o_count)
-
-    @property
-    def shard_count(self) -> int:
-        """Number of index shards (1 for an unsharded graph)."""
-        return self._shards.n if self._shards is not None else 1
-
-    def shard_cardinalities(self, ids: Optional[IdPattern]) -> List[int]:
-        """Per-shard match counts for an id pattern.
-
-        The planner and ``scan_batches`` use these per-shard
-        cardinalities to prune empty shards and report skew; an
-        unsharded graph reports a single pseudo-shard.
-        """
-        if ids is None:
-            return [0] * self.shard_count
-        if self._shards is not None:
-            return self._shards.cardinalities(ids)
-        return [self.pattern_cardinality(ids)]
-
-    def scan_batches(self, ids: Optional[IdPattern],
-                     batch_size: Optional[int] = None,
-                     pool=None) -> Iterator[List[int]]:
-        """Matches for *ids* as flat ``[s0,p0,o0, s1,p1,o1, ...]`` batches.
-
-        Each yielded list holds at most *batch_size* id-triples (3x ints).
-        On a sharded graph with an unbound subject, the per-shard scans
-        run as independent tasks — on *pool* (a
-        :class:`~repro.parallel.pool.WorkerPool`) when given, inline
-        otherwise — and the sorted runs are merged in submission order,
-        so the batch stream is byte-identical at any shard x worker
-        count. Shards with zero matches (per
-        :meth:`shard_cardinalities`) are pruned before dispatch.
-        """
-        if ids is None:
-            return
-        if batch_size is None or batch_size < 1:
-            batch_size = DEFAULT_BATCH_SIZE
-        cost = self.scan_cost
-        shards = self._shards
-        s, p, o = ids
-        fan_out = (shards is not None and shards.n > 1 and s is None
-                   and not (p is None and o is None))
-        if not fan_out:
-            matches = list(self._ids_matching(ids))
-            if cost is not None:
-                cost(0, len(matches))
-            runs = [matches]
-        else:
-            active = [k for k, n in enumerate(shards.cardinalities(ids))
-                      if n > 0]
-
-            def scan_shard(k):
-                run = shards.scan_sorted(k, ids)
-                if cost is not None:
-                    cost(k, len(run))
-                return run
-
-            if pool is None or len(active) <= 1:
-                runs = [scan_shard(k) for k in active]
-            else:
-                runs = pool.map(scan_shard, active, label="rdf.shard_scan")
-        flat: List[int] = []
-        limit = 3 * batch_size
-        for s_id, p_id, o_id in merge_sorted_runs(runs):
-            flat.append(s_id)
-            flat.append(p_id)
-            flat.append(o_id)
-            if len(flat) >= limit:
-                yield flat
-                flat = []
-        if flat:
-            yield flat
 
     def index_shell_sizes(self) -> Dict[str, int]:
         """Top-level index entry counts (regression hook for pruning)."""
-        if self._shards is not None:
-            spo, pos, osp = self._shards.shell_sizes()
-        else:
-            spo, pos, osp = len(self._spo), len(self._pos), len(self._osp)
         return {
-            "spo": spo,
-            "pos": pos,
-            "osp": osp,
+            "spo": len(self._spo),
+            "pos": len(self._pos),
+            "osp": len(self._osp),
             "s_count": len(self._s_count),
             "p_count": len(self._p_count),
             "o_count": len(self._o_count),

@@ -58,8 +58,8 @@ __all__ = [
 def query(graph: Graph, text: str,
           service_resolver: Optional[Callable] = None,
           budget=None, tracer=None, stats=None,
-          replan_ratio=None, pool=None, batch_size=None,
-          spill_threshold=None, spill_dir=None) -> SPARQLResult:
+          replan_ratio=None, spill_threshold=None,
+          spill_dir=None) -> SPARQLResult:
     """Parse and evaluate a (Geo)SPARQL query against *graph*.
 
     ``service_resolver(endpoint_iri, group)`` is called for SERVICE
@@ -80,14 +80,15 @@ def query(graph: Graph, text: str,
     (float > 1) additionally arms mid-query join re-ordering when a
     scan's actuals diverge from its estimate by that factor.
 
-    ``pool`` / ``batch_size`` / ``spill_threshold`` / ``spill_dir``
-    configure the sharded, batched data plane — see
-    :class:`~repro.sparql.evaluator.Context` for their semantics.
+    ``spill_threshold`` (row count) bounds the in-memory build side of
+    the VALUES / sub-select / SERVICE hash joins; larger build sides
+    spill sorted partition files to ``spill_dir`` with output
+    byte-identical to the in-memory join — see
+    :class:`~repro.sparql.evaluator.Context`.
     """
     ast = parse_query(text, namespaces=graph.namespaces)
     ctx = Context(graph, service_resolver=service_resolver, budget=budget,
                   tracer=tracer, stats=stats, replan_ratio=replan_ratio,
-                  pool=pool, batch_size=batch_size,
                   spill_threshold=spill_threshold, spill_dir=spill_dir)
     result = eval_query(ast, ctx)
     if budget is not None:
@@ -97,8 +98,8 @@ def query(graph: Graph, text: str,
 
 def explain(graph: Graph, text: str,
             service_resolver: Optional[Callable] = None,
-            budget=None, stats=None, pool=None, batch_size=None,
-            spill_threshold=None, spill_dir=None) -> PlanNode:
+            budget=None, stats=None, spill_threshold=None,
+            spill_dir=None) -> PlanNode:
     """Plan a query without executing it (the EXPLAIN entry point).
 
     Returns the root :class:`~repro.sparql.plan.PlanNode`; render it
@@ -110,6 +111,6 @@ def explain(graph: Graph, text: str,
     """
     ast = parse_query(text, namespaces=graph.namespaces)
     ctx = Context(graph, service_resolver=service_resolver, budget=budget,
-                  stats=stats, pool=pool, batch_size=batch_size,
-                  spill_threshold=spill_threshold, spill_dir=spill_dir)
+                  stats=stats, spill_threshold=spill_threshold,
+                  spill_dir=spill_dir)
     return explain_query(ast, ctx)

@@ -94,14 +94,6 @@ class Context:
     join suffix is re-ordered in flight (see
     :meth:`~repro.sparql.operators.BGPOp._match_ids_adaptive`).
 
-    ``pool`` is an optional :class:`~repro.parallel.WorkerPool` the
-    batched BGP path hands to ``graph.scan_batches`` so unbound-subject
-    scans on a sharded graph fan out across shards; results are
-    byte-identical at any worker count. ``batch_size`` pins the flat
-    id-batch size for the batched path (default: the sharded data
-    plane's :data:`~repro.rdf.shards.DEFAULT_BATCH_SIZE`; setting it on
-    an unsharded graph also engages batched evaluation).
-
     ``spill_threshold`` (row count, or ``None`` to disable) arms the
     deterministic partition-spill path on the VALUES / sub-select /
     SERVICE hash joins: build sides larger than the threshold spill
@@ -114,7 +106,6 @@ class Context:
                  budget=None, tracer=None, stats=None,
                  replan_ratio: Optional[float] = None,
                  trace_id: Optional[str] = None,
-                 pool=None, batch_size: Optional[int] = None,
                  spill_threshold: Optional[int] = None,
                  spill_dir=None):
         self.graph = graph
@@ -127,8 +118,6 @@ class Context:
         # caller-assigned correlation id: stamped on the root span and
         # the result so the query log can be joined against traces
         self.trace_id = trace_id
-        self.pool = pool
-        self.batch_size = batch_size
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
 

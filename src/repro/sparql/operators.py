@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..rdf.shards import DEFAULT_BATCH_SIZE
 from ..rdf.terms import literal_cmp_key, Literal
 from .ast import (
     Bind,
@@ -281,17 +280,6 @@ class BGPOp(Operator):
         adaptive = (id_mode
                     and len(self.patterns) >= 2
                     and getattr(ctx, "replan_ratio", None) is not None)
-        # Batched (vectorized) evaluation pulls fixed-size flat id
-        # batches instead of tuple-at-a-time probes. It engages on any
-        # sharded graph (where scans also fan out across shards, on
-        # ctx.pool when one is set) and whenever the context pins an
-        # explicit batch size; the adaptive strategy keeps its own
-        # staged path, which re-plans between stages.
-        batch_size = getattr(ctx, "batch_size", None)
-        if batch_size is None and getattr(graph, "shard_count", 1) > 1:
-            batch_size = DEFAULT_BATCH_SIZE
-        batched = (id_mode and not adaptive and batch_size is not None
-                   and hasattr(graph, "scan_batches"))
         for row in self.source.stream(ctx):
             _tick(ctx)
             self.node.probes += 1
@@ -300,9 +288,6 @@ class BGPOp(Operator):
                     continue  # a constant term is absent from the graph
                 if adaptive:
                     matches = self._match_ids_adaptive(specs, row, ctx)
-                elif batched:
-                    matches = self._match_ids_batched(specs, row, ctx,
-                                                      batch_size)
                 else:
                     matches = self._match_ids(specs, row, ctx)
             else:
@@ -431,76 +416,6 @@ class BGPOp(Operator):
                 charge_scan(ctx)
                 scan_node.actual_rows = (scan_node.actual_rows or 0) + 1
                 yield triple
-
-    # -- batched (vectorized) id-level matching -----------------------------
-    def _match_ids_batched(self, specs, row: Solution, ctx,
-                           batch_size: int) -> Iterator[Solution]:
-        """Staged block evaluation over flat id batches.
-
-        Patterns run stage-by-stage over a materialized block of
-        partial envs; each probe pulls fixed-size flat
-        ``[s,p,o, s,p,o, ...]`` int batches from
-        ``graph.scan_batches`` — which on a sharded graph scans the
-        shards concurrently (on ``ctx.pool``) and merges canonically —
-        and the budget is charged per batch instead of per triple.
-        Stage order preserves the depth-first emission order of
-        :meth:`_match_ids`, and the batch size never affects which
-        rows come out, only how many ids move per pull.
-        """
-        graph = ctx.graph
-        lookup = graph.dictionary.lookup
-        env0: Dict[str, int] = {}
-        for pattern in self.patterns:
-            for var in pattern.variables():
-                name = var.name
-                if name in row and name not in env0:
-                    term_id = lookup(row[name])
-                    if term_id is None:
-                        return  # bound term unknown to this graph
-                    env0[name] = term_id
-        budget = ctx.budget
-        pool = getattr(ctx, "pool", None)
-        merge = self._merge_env
-        block: List[Dict[str, int]] = [env0]
-        for i, spec in enumerate(specs):
-            scan_node = self.scan_nodes[i]
-            out: List[Dict[str, int]] = []
-            for env in block:
-                scan_node.probes += 1
-                s = spec[0] if isinstance(spec[0], int) else env.get(spec[0])
-                p = spec[1] if isinstance(spec[1], int) else env.get(spec[1])
-                o = spec[2] if isinstance(spec[2], int) else env.get(spec[2])
-                leaf = self._leaf(i, env, row) if self.spatial[i] else None
-                if leaf is not None:
-                    # spatial leaves stay tuple-at-a-time: the R-tree
-                    # candidate walk is already the narrow path
-                    for triple in self._leaf_ids(leaf, i, s, p, env, row,
-                                                 ctx):
-                        merged = merge(spec, triple, env)
-                        if merged is not None:
-                            out.append(merged)
-                    continue
-                for flat in graph.scan_batches((s, p, o), batch_size,
-                                               pool=pool):
-                    n = len(flat) // 3
-                    if budget is not None:
-                        budget.charge_triples(n)
-                    scan_node.actual_rows = (scan_node.actual_rows or 0) + n
-                    for j in range(0, len(flat), 3):
-                        merged = merge(
-                            spec, (flat[j], flat[j + 1], flat[j + 2]), env)
-                        if merged is not None:
-                            out.append(merged)
-            block = out
-            if not block:
-                return
-        decode = graph.dictionary.decode
-        for env in block:
-            out_row = dict(row)
-            for name, term_id in env.items():
-                if name not in out_row:
-                    out_row[name] = decode(term_id)
-            yield out_row
 
     # -- adaptive (staged) id-level matching --------------------------------
     def _match_ids_adaptive(self, specs, row: Solution,
@@ -855,7 +770,13 @@ def _build_joiner(ctx, node, join_key, right_rows):
     tag = f"{(node.label or 'join').lower()}-n{node.id or 0}"
     joiner = SpillHashJoin(join_key or (), max_build_rows=threshold,
                            spill_dir=spill_dir, tag=tag, budget=ctx.budget)
-    joiner.build(right_rows)
+    try:
+        joiner.build(right_rows)
+    except BaseException:
+        # a budget trip mid-build has already written partitions, and
+        # the caller never sees this joiner to close it
+        joiner.close()
+        raise
     return joiner, joiner
 
 

@@ -91,8 +91,7 @@ class PlanNode:
 
     __slots__ = ("label", "detail", "est_rows", "actual_rows", "children",
                  "id", "time_s", "est_source", "signature", "probes",
-                 "replans", "replan_events", "display_only", "access",
-                 "spill")
+                 "replans", "replan_events", "display_only", "spill")
 
     def __init__(self, label: str, detail: str = "",
                  est_rows: Optional[float] = None,
@@ -110,10 +109,6 @@ class PlanNode:
         self.replans: int = 0
         self.replan_events: List[Dict[str, object]] = []
         self.display_only: bool = False
-        #: Physical access annotation for scans on the sharded data
-        #: plane (``"shards=N batch=K"``); ``None`` on the legacy
-        #: tuple-at-a-time path, so plain-graph EXPLAIN is unchanged.
-        self.access: Optional[str] = None
         #: Spilled build rows for spill-armed hash joins: 0 when armed
         #: at plan time, the actual count after execution, ``None``
         #: (not printed) when spilling is off.
@@ -155,10 +150,9 @@ class PlanNode:
         node_id = "" if self.id is None else f"#{self.id} "
         src = "" if self.est_source is None else f" src={self.est_source}"
         replans = f" replans={self.replans}" if self.replans else ""
-        access = f" {self.access}" if self.access else ""
         spill = f" spill={self.spill}" if self.spill is not None else ""
         return (f"{node_id}{head}  "
-                f"[est={est}{src} rows={actual}{replans}{access}{spill}]")
+                f"[est={est}{src} rows={actual}{replans}{spill}]")
 
     def render(self, indent: int = 0) -> str:
         if indent == 0 and self.id is None:
@@ -182,7 +176,6 @@ class PlanNode:
             "replans": self.replans,
             "replan_events": list(self.replan_events),
             "display_only": self.display_only,
-            "access": self.access,
             "spill": self.spill,
             "children": [c.to_dict() for c in self.children],
         }
@@ -617,18 +610,6 @@ def _compile_bgp(bgp: BGP, ctx, source: "ops.Operator", bound: Set[str],
     scan_nodes: List[PlanNode] = []
     signatures: List[str] = []
     out_est = in_est
-    # Mirror BGPOp's batched-path dispatch so EXPLAIN shows the access
-    # method execution will actually use: batched scans print
-    # ``shards=N batch=K``; the legacy tuple-at-a-time and adaptive
-    # paths print nothing extra (plain-graph EXPLAIN is unchanged).
-    shard_count = getattr(graph, "shard_count", 1)
-    batch_size = getattr(ctx, "batch_size", None)
-    if batch_size is None and shard_count > 1:
-        batch_size = ops.DEFAULT_BATCH_SIZE
-    adaptive = (len(bgp.patterns) >= 2
-                and getattr(ctx, "replan_ratio", None) is not None)
-    batched = (not adaptive and batch_size is not None
-               and hasattr(graph, "scan_batches"))
     for pattern, est, est_source, signature in ordered:
         leaf = _spatial_leaf(pattern, bound, spatial)
         label = "IndexScan" if leaf is None else "SpatialIndexScan"
@@ -640,8 +621,6 @@ def _compile_bgp(bgp: BGP, ctx, source: "ops.Operator", bound: Set[str],
         scan_node = PlanNode(label, detail, est_rows=est)
         scan_node.est_source = est_source
         scan_node.signature = signature
-        if batched:
-            scan_node.access = f"shards={shard_count} batch={batch_size}"
         scan_nodes.append(scan_node)
         signatures.append(signature)
         out_est *= max(est, 0.0)

@@ -16,14 +16,6 @@ binding), which is exactly the unit
 :func:`repro.sparql.plan.estimate_pattern` produces — a recorded mean
 is directly substitutable for an index estimate.
 
-Signatures are also **shard-invariant by design**: a sharded graph
-(``Graph(shards=N)``) reports per-probe actuals that are global sums
-over its shards — per-shard cardinalities stay inside the graph layer
-(``Graph.shard_cardinalities``), where they prune empty shards from
-the batched scan fan-out — so feedback learned while running at one
-shard count is directly reusable at any other, and frozen-snapshot
-replays stay byte-identical when the shard count changes underneath.
-
 The store is deliberately boring about time: it holds no clocks and
 draws no randomness (the determinism lint enforces a total ban for
 this module). Records update by EWMA; ``stats_version`` bumps

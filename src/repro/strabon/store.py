@@ -47,9 +47,8 @@ class StrabonStore(Graph):
     #: charged against the query's scan budget.
     budget_aware = True
 
-    def __init__(self, identifier: Optional[str] = None,
-                 shards: Optional[int] = None):
-        super().__init__(identifier, shards=shards)
+    def __init__(self, identifier: Optional[str] = None):
+        super().__init__(identifier)
         self._geometry_literals: Dict[Literal, Geometry] = {}
         self._rtree: Optional[STRtree] = None
         self._valid_time: Dict[Triple, Interval] = {}
@@ -210,13 +209,8 @@ class StrabonStore(Graph):
         try:
             conn.executescript(
                 """
-                DROP TABLE IF EXISTS meta;
                 DROP TABLE IF EXISTS terms;
                 DROP TABLE IF EXISTS triples;
-                CREATE TABLE meta (
-                    key TEXT PRIMARY KEY,
-                    value TEXT NOT NULL
-                );
                 CREATE TABLE terms (
                     id INTEGER PRIMARY KEY,
                     kind TEXT NOT NULL,
@@ -233,9 +227,6 @@ class StrabonStore(Graph):
                 );
                 """
             )
-            if self._shards is not None:
-                conn.execute("INSERT INTO meta VALUES (?, ?)",
-                             ("shards", str(self._shards.n)))
             # Reuse the graph's interning dictionary verbatim: the ids
             # on disk are exactly the in-memory ids, so save is a plain
             # dump of (dictionary, id-triples) with no re-hashing.
@@ -260,29 +251,17 @@ class StrabonStore(Graph):
             conn.close()
 
     @classmethod
-    def load(cls, path: str, identifier: Optional[str] = None,
-             shards: Optional[int] = None) -> "StrabonStore":
+    def load(cls, path: str,
+             identifier: Optional[str] = None) -> "StrabonStore":
         """Load a store saved by :meth:`save`.
 
-        A sharded store records its shard count in the ``meta`` table
-        and restores it on load, so persistence round-trips the data
-        plane layout; an explicit *shards* argument overrides the
-        persisted value (e.g. to re-shard a dataset on load — routing
-        is by stable subject hash, so any count yields the same query
-        results).
+        Files written by older builds may carry a ``meta`` table (a
+        shard-count row); it described an index layout that no longer
+        exists and is ignored.
         """
         conn = sqlite3.connect(path)
         try:
-            if shards is None:
-                try:
-                    row = conn.execute(
-                        "SELECT value FROM meta WHERE key = 'shards'"
-                    ).fetchone()
-                except sqlite3.OperationalError:
-                    row = None  # pre-sharding database: no meta table
-                if row is not None:
-                    shards = int(row[0])
-            store = cls(identifier, shards=shards)
+            store = cls(identifier)
             # Re-intern in id order so the loaded store's dictionary
             # assigns exactly the on-disk ids (ids are dense from 1 in
             # intern order).

@@ -43,6 +43,38 @@ class TestMaterializedWorkflow:
         )
         assert park_mean > overall.rows[0]["mean"].value
 
+    def test_store_saved_with_a_shards_row_still_loads(self, study, store,
+                                                       tmp_path):
+        """Older builds recorded a shard count in a ``meta`` table;
+        such files must load and answer Listing 1 unchanged."""
+        import shutil
+        import sqlite3
+        from collections import Counter
+
+        from repro.strabon import StrabonStore
+
+        plain_path = tmp_path / "plain.db"
+        sharded_path = tmp_path / "sharded.db"
+        store.save(str(plain_path))
+        shutil.copy(plain_path, sharded_path)
+        conn = sqlite3.connect(sharded_path)
+        with conn:
+            conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY,"
+                         " value TEXT NOT NULL)")
+            conn.execute("INSERT INTO meta VALUES ('shards', '4')")
+        conn.close()
+
+        old = study.run_listing1(StrabonStore.load(str(sharded_path)))
+        new = study.run_listing1(StrabonStore.load(str(plain_path)))
+        assert old.to_json() == new.to_json()
+
+        def bag(result):
+            return Counter(tuple(sorted((k, v.n3()) for k, v in row.items()))
+                           for row in result.rows)
+
+        assert len(old) == 8
+        assert bag(old) == bag(study.run_listing1(store))
+
     def test_park_vs_industrial(self, study, store):
         green, industrial = study.park_vs_industrial_lai(store)
         assert green > industrial * 1.5

@@ -208,23 +208,20 @@ def test_slo_qlog_recorder_have_no_clock_or_random_at_all():
     )
 
 
-#: The sharded data plane gets the chaos-layer total ban: shard scans
-#: must merge byte-identically at any shard x worker count and spill
-#: files must hash identically across runs, so ``repro.rdf.shards``
-#: and the spill join may hold no clock and draw no randomness at all
-#: (routing is a splitmix64 subject hash, spill partitioning a crc32).
-DATA_PLANE_TOTAL_BAN = ("repro/rdf/shards.py", "repro/sparql/spill.py")
+#: The spill join gets the chaos-layer total ban: spill files must
+#: hash identically across runs, so it may hold no clock and draw no
+#: randomness at all (partitioning is a crc32 of the join key).
+DATA_PLANE_TOTAL_BAN = ("repro/sparql/spill.py",)
 
 DATA_PLANE_FORBIDDEN = [
     (re.compile(r"\btime\.\w+"),
-     "the sharded data plane is clock-free (timings live in the tracer)"),
+     "the spill join is clock-free (timings live in the tracer)"),
     (re.compile(r"\brandom\.\w+"),
-     "shard routing / spill partitioning use stable hashes, never "
-     "random.*"),
+     "spill partitioning uses a stable hash, never random.*"),
 ]
 
 
-def test_sharded_data_plane_has_no_clock_or_random_at_all():
+def test_spill_join_has_no_clock_or_random_at_all():
     offenders = []
     for rel in DATA_PLANE_TOTAL_BAN:
         path = SRC / rel
@@ -236,7 +233,7 @@ def test_sharded_data_plane_has_no_clock_or_random_at_all():
                     offenders.append(
                         f"src/{rel}:{lineno}: {why}: {line.strip()}")
     assert not offenders, (
-        "shard scans and spill joins must replay byte-identically:\n"
+        "spill joins must replay byte-identically:\n"
         + "\n".join(offenders)
     )
 
@@ -258,7 +255,7 @@ TOTAL_TIER = (
     }
     # SLO/qlog/recorder (test_slo_qlog_recorder_...)
     | {f"repro/observability/{name}" for name in OBSERVABILITY_TOTAL_BAN}
-    # sharded data plane (test_sharded_data_plane_...)
+    # spill join (test_spill_join_has_no_clock_or_random_at_all)
     | set(DATA_PLANE_TOTAL_BAN)
 )
 

@@ -1,5 +1,8 @@
 """Graph indexing and pattern-matching tests."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.rdf import Graph, IRI, Literal, RDF, Triple
@@ -104,3 +107,36 @@ def test_bind_and_qname():
     g.bind("ex", EX)
     assert g.namespaces.qname(str(ex("Park"))) == "ex:Park"
     assert g.namespaces.expand("ex:Park") == ex("Park")
+
+
+def test_cardinalities_match_scans_after_churn():
+    rnd = random.Random(7)
+    g = Graph()
+    preds = [ex(p) for p in ("type", "val", "link", "tag")]
+    triples = []
+    for i in range(40):
+        s = ex(f"s/{i}")
+        triples.append(Triple(s, preds[0], ex(f"C{i % 3}")))
+        triples.append(Triple(s, preds[1], Literal(str(rnd.randrange(9)))))
+        if rnd.random() < 0.5:
+            triples.append(Triple(s, preds[2], ex(f"s/{rnd.randrange(40)}")))
+        if rnd.random() < 0.3:
+            triples.append(Triple(s, preds[3], Literal("x")))
+    for t in triples:
+        g.add(t)
+    for t in rnd.sample(triples, len(triples) // 2):
+        g.remove(t)
+    for t in triples[::3]:
+        g.add(t)
+
+    current = set(g)
+    assert g.distinct_counts == (len({t.s for t in current}),
+                                 len({t.p for t in current}),
+                                 len({t.o for t in current}))
+    # every bound shape, probed with the ids of live and removed triples
+    for key in map(g._encode_triple, triples):
+        for mask in itertools.product((True, False), repeat=3):
+            ids = tuple(term if bound else None
+                        for term, bound in zip(key, mask))
+            assert g.pattern_cardinality(ids) \
+                == len(list(g.triples_ids(ids))), (ids, mask)

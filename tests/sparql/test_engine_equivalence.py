@@ -22,6 +22,7 @@ from collections import Counter
 
 import pytest
 
+import fixed_queries
 import reference_evaluator
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal
@@ -118,6 +119,13 @@ def test_random_queries_bag_equal():
         g = build_graph(seed % 5)
         text = random_query(rnd)
         assert bag(run_new(g, text)) == bag(run_ref(g, text)), text
+
+
+@pytest.mark.parametrize("text", fixed_queries.QUERIES)
+def test_fixed_queries_bag_equal(text):
+    """VALUES, OPTIONAL+FILTER, UNION+ORDER, DISTINCT, 3-pattern join."""
+    g = fixed_queries.build_graph()
+    assert bag(run_new(g, text)) == bag(run_ref(g, text)), text
 
 
 def test_distinct_bag_equal():

@@ -1,261 +1,26 @@
-"""Seeded equivalence: the sharded data plane changes nothing but speed.
+"""Spill-threshold invariance over the five fixed query shapes.
 
-The acceptance contract for ``Graph(shards=N)`` + the batched operators
-is *byte-identity at every cell of the shard x worker matrix*: query
-results, executed profiles, and workload reports must be identical at
-shards 1/2/4 x workers 1/2/4 — including with chaos-seeded latency
-jitter delaying shard scans out of order, and with worker-death fault
-plans, where every cell must fail with the same typed error instead of
-returning partial rows. EXPLAIN legitimately differs in the printed
-``shards=N``; normalizing that one token must make the renderings
-byte-identical too.
+The module keeps the name of the suite that once compared a sharded
+index against the plain one; that index no longer exists. What it
+still pins: arming the spill join changes a query's answer (rows, row
+order, JSON payload) not at all, and leaves no spill files behind.
 """
-
-import random
-import re
-import time
-from collections import Counter
 
 import pytest
 
-import reference_evaluator
-from repro.chaos import ChaosExecutor, ChaosPlan, worker_death
-from repro.parallel import (
-    SerialExecutor,
-    ThreadExecutor,
-    WorkerDeath,
-    WorkerPool,
-)
-from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal
-from repro.sparql import StatsStore, explain, query
-from repro.service.workload import WorkloadSpec, build_default_graph, \
-    run_workload
+import fixed_queries
+from repro.sparql import query
 
 pytestmark = pytest.mark.tier1
 
-EX = "http://example.org/"
 
-SHARD_COUNTS = (1, 2, 4)
-WORKER_COUNTS = (1, 2, 4)
-BATCH = 7  # deliberately tiny: many partial batches per scan
-
-QUERIES = [
-    # multi-pattern join, unbound-subject fan-out on every pattern
-    f"""SELECT ?s ?v WHERE {{
-        ?s <{EX}type> <{EX}A> .
-        ?s <{EX}val> ?v .
-        ?s <{EX}link> ?o . }}""",
-    # OPTIONAL + FILTER
-    f"""SELECT ?s ?v ?n WHERE {{
-        ?s <{EX}val> ?v .
-        OPTIONAL {{ ?s <{EX}name> ?n }}
-        FILTER(?v != "3") }}""",
-    # UNION with ORDER BY
-    f"""SELECT ?s ?x WHERE {{
-        {{ ?s <{EX}link> ?x . }} UNION {{ ?s <{EX}type> ?x . }}
-    }} ORDER BY ?s ?x""",
-    # DISTINCT projection
-    f"SELECT DISTINCT ?o WHERE {{ ?s <{EX}type> ?o . }}",
-    # VALUES join (hash-join path; spills when a threshold is armed)
-    f"""SELECT ?s ?v WHERE {{
-        VALUES ?v {{ "0" "1" "2" "5" }}
-        ?s <{EX}val> ?v . }}""",
-]
-
-
-def build_graph(shards=None, subjects=48):
-    """Same triples in the same insertion order at every shard count,
-    so term ids — and therefore id-space scans — are comparable."""
-    rnd = random.Random(1234)
-    g = Graph(shards=shards)
-    for i in range(subjects):
-        s = IRI(f"{EX}s/{i}")
-        g.add(s, IRI(EX + "type"), IRI(EX + ("A" if i % 2 else "B")))
-        g.add(s, IRI(EX + "val"), Literal(str(i % 7)))
-        if rnd.random() < 0.5:
-            g.add(s, IRI(EX + "link"),
-                  IRI(f"{EX}s/{rnd.randrange(subjects)}"))
-        if rnd.random() < 0.3:
-            g.add(s, IRI(EX + "name"), Literal(f"n{i}"))
-    return g
-
-
-def make_pool(workers, executor=None):
-    if workers == 1 and executor is None:
-        return None
-    return WorkerPool(workers,
-                      executor if executor is not None
-                      else ThreadExecutor(workers))
-
-
-def normalize_explain(text):
-    return re.sub(r"shards=\d+", "shards=*", text)
-
-
-# -- the matrix ------------------------------------------------------------
-
-@pytest.mark.parametrize("query_text", QUERIES)
-def test_results_profiles_explain_identical_across_matrix(query_text):
-    payloads, profiles, explains = set(), [], set()
-    for n_shards in SHARD_COUNTS:
-        g = build_graph(n_shards)
-        for workers in WORKER_COUNTS:
-            pool = make_pool(workers)
-            try:
-                result = query(g, query_text, pool=pool, batch_size=BATCH)
-            finally:
-                if pool is not None:
-                    pool.close()
-            payloads.add(result.to_json())
-            profiles.append(result.profile().rows)
-            explains.add(normalize_explain(result.plan.render()))
-    assert len(payloads) == 1, \
-        f"{len(payloads)} distinct result payloads across the matrix"
-    assert all(rows == profiles[0] for rows in profiles[1:])
-    assert len(explains) == 1
-
-
-@pytest.mark.parametrize("query_text", QUERIES)
+@pytest.mark.parametrize("query_text", fixed_queries.QUERIES)
 def test_spill_threshold_changes_nothing_but_the_spill_counter(
         query_text, tmp_path):
-    baseline = None
-    for n_shards in SHARD_COUNTS:
-        g = build_graph(n_shards)
-        result = query(g, query_text, batch_size=BATCH,
-                       spill_threshold=2, spill_dir=tmp_path / "spill")
-        if baseline is None:
-            # no-spill run on the canonical (sharded) path
-            baseline = query(build_graph(1), query_text,
-                             batch_size=BATCH).to_json()
-        assert result.to_json() == baseline
+    g = fixed_queries.build_graph()
+    baseline = query(g, query_text).to_json()
+    result = query(g, query_text, spill_threshold=2,
+                   spill_dir=tmp_path / "spill")
+    assert result.to_json() == baseline
     assert not (tmp_path / "spill").exists() or \
         not list((tmp_path / "spill").iterdir())
-
-
-# -- reference-evaluator bags ----------------------------------------------
-
-def _bag(result):
-    return Counter(
-        tuple(sorted((var, term.n3()) for var, term in row.items()
-                     if term is not None))
-        for row in result.rows)
-
-
-def test_sharded_bags_match_reference_evaluator():
-    from repro.sparql.parser import parse_query
-
-    plain = build_graph(None)
-    sharded = build_graph(4)
-    pool = make_pool(4)
-    try:
-        for text in QUERIES:
-            ast = parse_query(text)
-            ref = reference_evaluator.eval_query(
-                ast, reference_evaluator.Context(plain))
-            got = query(sharded, text, pool=pool, batch_size=BATCH)
-            assert _bag(got) == _bag(ref), text
-    finally:
-        pool.close()
-
-
-# -- chaos: latency jitter and worker death --------------------------------
-
-class _JitterExecutor:
-    """Delays every task by a chaos-seeded amount before running it.
-
-    Draws happen in submission order (deterministic); the *sleeps*
-    happen concurrently on the inner executor's threads, so tasks
-    finish in scrambled wall-clock order — exactly the disorder the
-    submission-order merge must absorb.
-    """
-
-    def __init__(self, inner, rng, max_delay_s=0.004):
-        self.inner = inner
-        self.rng = rng
-        self.max_delay_s = max_delay_s
-        self.workers = getattr(inner, "workers", 2)
-
-    def submit(self, fn):
-        delay = self.rng.uniform(0.0, self.max_delay_s)
-
-        def delayed():
-            time.sleep(delay)
-            return fn()
-
-        return self.inner.submit(delayed)
-
-    def shutdown(self):
-        self.inner.shutdown()
-
-
-def test_latency_jitter_never_perturbs_results():
-    baseline = None
-    plan = ChaosPlan(seed=99)
-    for n_shards in (2, 4):
-        g = build_graph(n_shards)
-        for workers in (2, 4):
-            executor = _JitterExecutor(ThreadExecutor(workers),
-                                       plan.rng("latency"))
-            pool = WorkerPool(workers, executor)
-            try:
-                result = query(g, QUERIES[0], pool=pool, batch_size=BATCH)
-            finally:
-                pool.close()
-            payload = result.to_json()
-            if baseline is None:
-                baseline = query(build_graph(1), QUERIES[0],
-                                 batch_size=BATCH).to_json()
-            assert payload == baseline, (n_shards, workers)
-
-
-def test_worker_death_raises_same_typed_error_at_every_cell():
-    plan = ChaosPlan(seed=7, faults=(worker_death(0.0, 10.0, rate=1.0),))
-    for workers in (2, 4):
-        g = build_graph(4)
-        executor = ChaosExecutor(SerialExecutor(), lambda: 0.5, plan)
-        pool = WorkerPool(workers, executor)
-        try:
-            with pytest.raises(WorkerDeath):
-                query(g, QUERIES[0], pool=pool, batch_size=BATCH)
-        finally:
-            pool.close()
-        # the graph survives the failed scan: a clean retry still
-        # produces the canonical answer
-        clean = query(g, QUERIES[0], batch_size=BATCH)
-        assert clean.to_json() == query(build_graph(1), QUERIES[0],
-                                        batch_size=BATCH).to_json()
-
-
-# -- stats feedback transfers across shard counts --------------------------
-
-def test_feedback_learned_at_one_shard_count_transfers():
-    store = StatsStore()
-    g1 = build_graph(1)
-    query(g1, QUERIES[0], batch_size=BATCH, stats=store)
-    assert len(store) > 0
-
-    g4 = build_graph(4)
-    plan_warm = explain(g4, QUERIES[0], stats=store)
-    assert "src=feedback" in plan_warm.render()
-    sigs_warm = {n.signature for n in plan_warm.walk()
-                 if getattr(n, "signature", None)}
-    sigs_cold = {n.signature for n in explain(g1, QUERIES[0]).walk()
-                 if getattr(n, "signature", None)}
-    assert sigs_warm == sigs_cold  # signatures are shard-invariant
-
-
-# -- workload reports ------------------------------------------------------
-
-def test_workload_reports_identical_across_shard_counts():
-    spec = WorkloadSpec(seed=17, clients=40, rate_rps=300.0,
-                        stations=60, regions=6)
-    reports = []
-    for n_shards in SHARD_COUNTS:
-        plain = build_default_graph(stations=60, regions=6)
-        g = Graph(shards=n_shards)
-        g.namespaces = plain.namespaces
-        for t in plain:
-            g.add(t)
-        reports.append(run_workload(spec, graph=g).to_json())
-    assert reports[0] == reports[1] == reports[2]

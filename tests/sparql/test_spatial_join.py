@@ -10,8 +10,8 @@ must return the same bag as the same engine on a plain
 reference evaluator — for all seven relations in both argument orders,
 with the partner bound before the leaf, after it, from an input row
 (VALUES, OPTIONAL), with malformed or non-literal partner geometries,
-on every cell of the shards x batch x re-plan matrix, and through the
-term-level path of graphs without the id protocol.
+on every cell of the re-plan x feedback x spill matrix, and through
+the term-level path of graphs without the id protocol.
 """
 
 from collections import Counter
@@ -21,7 +21,7 @@ import pytest
 import reference_evaluator
 from repro.governance import BudgetExceeded, QueryBudget
 from repro.rdf import GEO, GEO_WKT_LITERAL, GEOF, Graph, IRI, Literal
-from repro.sparql import explain, parse_query, query
+from repro.sparql import StatsStore, explain, parse_query, query
 from repro.sparql.functions import SPATIAL_RELATIONS
 from repro.strabon import StrabonStore
 
@@ -128,9 +128,8 @@ def plain():
 
 
 @pytest.fixture(scope="module")
-def stores():
-    return {shards: build(StrabonStore(shards=shards))
-            for shards in (None, 1, 4)}
+def store():
+    return build(StrabonStore())
 
 
 @pytest.fixture(scope="module")
@@ -162,37 +161,48 @@ def test_plain_graph_agrees_with_reference(plain, expected, shape):
             assert bag(result.rows) == expected[shape, relation, order]
 
 
-@pytest.mark.parametrize("shards", [None, 1, 4])
-@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("spill_threshold", [None, 1, 4])
+@pytest.mark.parametrize("warm_runs", [None, 7])
 @pytest.mark.parametrize("replan_ratio", [None, 1.5])
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_store_agrees_on_every_cell(stores, expected, shape, shards,
-                                    batch_size, replan_ratio):
-    store = stores[shards]
+def test_store_agrees_on_every_cell(store, expected, tmp_path, shape,
+                                    replan_ratio, warm_runs,
+                                    spill_threshold):
+    """``warm_runs``: ``None`` plans from index statistics alone; a
+    number first records that many executions' feedback in a
+    :class:`StatsStore` the checked run then plans from. Both spill
+    thresholds sit below the size of the VALUES build side."""
+    spill_dir = tmp_path / "spill"
     for relation in RELATIONS:
         for order in ORDERS:
             text = text_for(shape, relation, order)
-            result = query(store, text, batch_size=batch_size,
-                           replan_ratio=replan_ratio)
+            stats = None if warm_runs is None else StatsStore()
+            for __ in range(warm_runs or 0):
+                query(store, text, stats=stats)
+            result = query(store, text, stats=stats,
+                           replan_ratio=replan_ratio,
+                           spill_threshold=spill_threshold,
+                           spill_dir=spill_dir)
             assert bag(result.rows) == expected[shape, relation, order], \
                 (relation, order)
+    assert not spill_dir.exists() or not list(spill_dir.iterdir())
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_leaf_engages_only_when_the_partner_is_bound(stores, plain, shape):
+def test_leaf_engages_only_when_the_partner_is_bound(store, plain, shape):
     must_engage = SHAPES[shape][1]
     for relation in RELATIONS:
         for order in ORDERS:
             text = text_for(shape, relation, order)
-            rendered = explain(stores[None], text).render()
+            rendered = explain(store, text).render()
             assert ("[rtree-join:" in rendered) == must_engage, rendered
             # a graph without an R-tree never shows a spatial leaf
             assert "SpatialIndexScan" not in explain(plain, text).render()
 
 
-def test_leaf_relation_reads_from_the_leaf_side(stores):
+def test_leaf_relation_reads_from_the_leaf_side(store):
     text = text_for("bgp", str(GEOF.sfContains), ("?wa", "?wb"))
-    rendered = explain(stores[None], text).render()
+    rendered = explain(store, text).render()
     # sfContains(?wa, ?wb) seen from ?wb: "?wb within ?wa"
     assert "[rtree-join:within ?wa]" in rendered
 
@@ -204,9 +214,9 @@ def scanned(graph, text):
 
 
 @pytest.mark.parametrize("shape", [s for s in SHAPES if SHAPES[s][1]])
-def test_leaf_cuts_enumerated_triples(stores, plain, shape):
+def test_leaf_cuts_enumerated_triples(store, plain, shape):
     text = text_for(shape, RELATIONS[0], ORDERS[0])
-    assert scanned(stores[None], text) < scanned(plain, text)
+    assert scanned(store, text) < scanned(plain, text)
 
 
 class TermView:
@@ -231,16 +241,16 @@ class TermView:
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
-def test_term_level_path_agrees(stores, expected, shape):
-    view = TermView(stores[None])
+def test_term_level_path_agrees(store, expected, shape):
+    view = TermView(store)
     for relation in RELATIONS:
         for order in ORDERS:
             result = query(view, text_for(shape, relation, order))
             assert bag(result.rows) == expected[shape, relation, order]
 
 
-def test_term_level_leaf_cuts_enumerated_triples(stores, plain):
-    view = TermView(stores[None])
+def test_term_level_leaf_cuts_enumerated_triples(store, plain):
+    view = TermView(store)
     text = text_for("leaf_first", RELATIONS[0], ORDERS[0])
     assert "[rtree-join:" in explain(view, text).render()
     assert scanned(view, text) < scanned(plain, text)
