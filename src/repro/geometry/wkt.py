@@ -12,7 +12,7 @@ WKT (use :func:`to_wkt_literal` for the prefixed literal form).
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ParseError
 from .base import (
@@ -161,6 +161,34 @@ def loads(text: str) -> Geometry:
             raise WktParseError(f"trailing WKT content: {trailing!r}",
                                 position=scanner.pos)
     return geom
+
+
+# One parse cache for the whole process: the materialized workflow reads
+# GeoSPARQL literals and the virtual one reads WKT columns in MadIS UDFs,
+# and both see the same texts (constant query windows, pixel points)
+# over and over. Cleared when full, so its size stays bounded.
+_CACHE: Dict[str, Geometry] = {}
+_CACHE_MAX = 100_000
+
+
+def loads_cached(text: str) -> Geometry:
+    """:func:`loads` through the shared parse cache.
+
+    Callers must not mutate the returned geometry. A parse failure
+    raises as :func:`loads` does and is never cached.
+    """
+    geom = _CACHE.get(text)
+    if geom is None:
+        geom = loads(text)
+        if len(_CACHE) >= _CACHE_MAX:
+            _CACHE.clear()
+        _CACHE[text] = geom
+    return geom
+
+
+def clear_cache() -> None:
+    """Empty the shared parse cache."""
+    _CACHE.clear()
 
 
 def _parse_geometry(s: _Scanner) -> Geometry:

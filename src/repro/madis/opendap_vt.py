@@ -23,8 +23,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..opendap import ServerRegistry, decode_time, open_url
 from ..opendap.model import apply_fill_and_scale
 from ..resilience import ResilienceStats, RetryPolicy
@@ -130,30 +128,29 @@ class OpendapVTOperator:
                 f"got {var.dims}"
             )
         times = decode_time(dataset["time"])
-        lats = dataset["lat"].data.astype(float)
-        lons = dataset["lon"].data.astype(float)
+        lats = dataset["lat"].data.astype(float).tolist()
+        lons = dataset["lon"].data.astype(float).tolist()
         values = apply_fill_and_scale(var)
 
+        # Per-cell text is the same at every time step: format it once
+        # per grid. Only the time stamp changes between planes.
+        cells = [
+            [(f"{lon:.4f}_{lat:.4f}_", f"POINT ({lon:g} {lat:g})")
+             for lon in lons]
+            for lat in lats
+        ]
         rows: List[Row] = []
+        append = rows.append
         for ti, moment in enumerate(times):
             ts = moment.strftime("%Y-%m-%dT%H:%M:%SZ")
             stamp_key = moment.strftime("%Y%m%d%H%M")
-            plane = values[ti]
-            for yi, lat in enumerate(lats):
+            for line, row_cells in zip(values[ti].tolist(), cells):
                 if budget is not None:
                     budget.check_deadline()
-                for xi, lon in enumerate(lons):
-                    value = plane[yi, xi]
-                    if np.isnan(value):
+                for value, (prefix, loc) in zip(line, row_cells):
+                    if value != value:  # NaN: fill value or masked
                         continue
-                    rows.append(
-                        (
-                            f"{lon:.4f}_{lat:.4f}_{stamp_key}",
-                            float(value),
-                            ts,
-                            f"POINT ({lon:g} {lat:g})",
-                        )
-                    )
+                    append((prefix + stamp_key, value, ts, loc))
         return ("id", variable, "ts", "loc"), rows
 
     # -- cache administration --------------------------------------------------

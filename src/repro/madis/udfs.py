@@ -3,7 +3,9 @@
 Spatial UDFs operate on WKT text (matching how geometry columns travel
 through the SQL layer) and are the target of Ontop-spatial's filter
 pushdown: a GeoSPARQL ``geof:sfIntersects`` becomes ``ST_INTERSECTS``
-in the generated SQL.
+in the generated SQL. They parse through the WKT cache the SPARQL side
+uses too, and text that does not parse is SQL NULL — the same row is
+dropped as when a GeoSPARQL FILTER errors on it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from datetime import timedelta
 from typing import TYPE_CHECKING
 
 from ..geometry import ops as geo_ops
-from ..geometry import wkt_dumps, wkt_loads
+from ..geometry import GeometryError, wkt_dumps, wkt_loads_cached
 from ..opendap.model import parse_time_units
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,7 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
 def _geom(wkt_text):
     if wkt_text is None:
         return None
-    return wkt_loads(wkt_text)
+    try:
+        return wkt_loads_cached(wkt_text)
+    except (GeometryError, TypeError):  # malformed text or not text at all
+        return None
 
 
 def _binary_predicate(fn):

@@ -37,6 +37,9 @@ class OntopMappingError(ValueError):
     """Raised on malformed mapping documents or templates."""
 
 
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
+
+
 @dataclass(frozen=True)
 class NodeTemplate:
     """A subject/predicate/object slot of a target template triple.
@@ -44,6 +47,10 @@ class NodeTemplate:
     kinds: ``iri`` (text with optional placeholders), ``bnode`` (label is
     per-row), ``literal`` (text with placeholders + optional datatype or
     lang), ``constant`` (a fixed term).
+
+    ``text`` is compiled once, when the template is built, into the text
+    before the first placeholder and one ``(column, following text)``
+    pair per placeholder, so instantiating a row only concatenates.
     """
 
     kind: str
@@ -51,40 +58,41 @@ class NodeTemplate:
     datatype: Optional[IRI] = None
     lang: Optional[str] = None
     constant: Optional[Term] = None
+    _head: str = field(init=False, repr=False, compare=False)
+    _parts: Tuple[Tuple[str, str], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pieces = _PLACEHOLDER_RE.split(self.text)
+        object.__setattr__(self, "_head", pieces[0])
+        object.__setattr__(self, "_parts",
+                           tuple(zip(pieces[1::2], pieces[2::2])))
+        if self.datatype is not None:
+            object.__setattr__(self, "datatype", IRI(self.datatype))
 
     @property
     def columns(self) -> List[str]:
-        return re.findall(r"\{(\w+)\}", self.text)
+        return [column for column, __ in self._parts]
 
     def instantiate(self, row: Dict[str, object],
                     bnodes: Dict[str, BNode]) -> Optional[Term]:
-        if self.kind == "constant":
+        """The term for one source row; ``None`` when a column is NULL."""
+        kind = self.kind
+        if kind == "constant":
             return self.constant
-        if self.kind == "bnode":
+        if kind == "bnode":
             if self.text not in bnodes:
                 bnodes[self.text] = BNode()
             return bnodes[self.text]
-        try:
-            text = re.sub(
-                r"\{(\w+)\}",
-                lambda m: _row_value(row, m.group(1)),
-                self.text,
-            )
-        except KeyError:
-            return None
-        if self.kind == "iri":
+        text = self._head
+        for column, tail in self._parts:
+            value = row.get(column)
+            if value is None:
+                return None
+            text = text + str(value) + tail
+        if kind == "iri":
             return IRI(text.replace(" ", "_"))
         return Literal(text, datatype=self.datatype, lang=self.lang)
-
-
-class _NullValue(KeyError):
-    pass
-
-
-def _row_value(row: Dict[str, object], column: str) -> str:
-    if column not in row or row[column] is None:
-        raise _NullValue(column)
-    return str(row[column])
 
 
 @dataclass(frozen=True)

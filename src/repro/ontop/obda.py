@@ -466,6 +466,8 @@ class OntopSpatial:
         from ..sparql.evaluator import eval_expr
         from ..sparql.functions import SparqlValueError, \
             effective_boolean_value
+        from ..sparql.operators import _order_key
+        from ..sparql.plan import expr_variables
 
         sql = recipe["sql"]
         var_templates = recipe["var_templates"]
@@ -473,62 +475,68 @@ class OntopSpatial:
         residual_filters = recipe["residual_filters"]
         needs_grouping = recipe["needs_grouping"]
 
+        # Filter first: without a BIND, build only the terms the residual
+        # filters read, and the rest only for rows that pass. A row is
+        # still dropped when any template yields NULL, so the row set is
+        # the one the all-terms-first order gives.
+        if binds:
+            early, late = list(var_templates.items()), []
+        else:
+            read = set().union(
+                *(expr_variables(f.expr) for f in residual_filters))
+            early = [(name, node) for name, node in var_templates.items()
+                     if name in read]
+            late = [(name, node) for name, node in var_templates.items()
+                    if name not in read]
+        reorder = bool(early) and bool(late)
+        ctx = Context(Graph(), budget=budget)
+
+        def passes(bindings) -> bool:
+            for f in residual_filters:
+                try:
+                    if not effective_boolean_value(
+                        eval_expr(f.expr, bindings, ctx)
+                    ):
+                        return False
+                except SparqlValueError:
+                    return False
+            return True
+
         self.last_sql = [sql]
         rows = self.conn.execute(sql, budget=budget)
-        ctx = Context(Graph(), budget=budget)
         binding_rows = []
         for row in rows:
             if budget is not None:
                 budget.check_deadline()
             row_dict = {key: row[key] for key in row.keys()}
             bindings = {}
-            ok = True
-            for var_name, node in var_templates.items():
-                term = node.instantiate(row_dict, {})
-                if term is None:
-                    ok = False
-                    break
-                bindings[var_name] = term
-            if not ok:
+            if not _instantiate_vars(early, row_dict, bindings):
                 continue
             for b in binds:
                 try:
                     bindings[b.var.name] = eval_expr(b.expr, bindings, ctx)
                 except SparqlValueError:
                     pass  # BIND error leaves the variable unbound
-            for f in residual_filters:
-                try:
-                    if not effective_boolean_value(
-                        eval_expr(f.expr, bindings, ctx)
-                    ):
-                        ok = False
-                        break
-                except SparqlValueError:
-                    ok = False
-                    break
-            if ok:
-                binding_rows.append(bindings)
+            if not passes(bindings):
+                continue
+            if late:
+                if not _instantiate_vars(late, row_dict, bindings):
+                    continue
+                if reorder:
+                    bindings = {name: bindings[name]
+                                for name in var_templates}
+            binding_rows.append(bindings)
 
         if needs_grouping:
             from ..sparql.evaluator import _group_and_aggregate
 
             out_rows = _group_and_aggregate(ast, binding_rows, ctx)
             binding_rows = out_rows
-        if ast.order_by:
-            from ..rdf.terms import Literal as RdfLiteral
-            from ..rdf.terms import literal_cmp_key
-
-            for cond in reversed(ast.order_by):
-                def key_one(row, cond=cond):
-                    try:
-                        term = eval_expr(cond.expr, row, ctx)
-                    except SparqlValueError:
-                        return ((-1, 0.0), "")
-                    if isinstance(term, RdfLiteral):
-                        return (literal_cmp_key(term), "")
-                    return ((4, 0.0), str(term))
-
-                binding_rows.sort(key=key_one, reverse=cond.descending)
+        for cond in reversed(ast.order_by):
+            binding_rows.sort(
+                key=lambda row, cond=cond: _order_key(cond, row, ctx),
+                reverse=cond.descending,
+            )
         if needs_grouping:
             out_rows = binding_rows
         else:
@@ -669,6 +677,21 @@ class OntopSpatial:
             f"SELECT * FROM ({base_sql}) "
             f"WHERE {sql_fn}(\"{column}\", '{escaped}')"
         )
+
+
+def _instantiate_vars(pairs, row: Dict[str, object],
+                      bindings: Dict[str, Term]) -> bool:
+    """Bind each ``(var, template)`` of *pairs* for one source row.
+
+    False as soon as a template yields NULL (the row has no solution).
+    Direct-SQL templates are never blank nodes, so no label map is kept.
+    """
+    for name, node in pairs:
+        term = node.instantiate(row, {})
+        if term is None:
+            return False
+        bindings[name] = term
+    return True
 
 
 def _templates_disjoint(a: NodeTemplate, b: NodeTemplate) -> bool:

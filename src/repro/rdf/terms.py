@@ -98,7 +98,9 @@ class Literal:
                  lang: Optional[str] = None):
         if lang is not None and datatype is not None:
             raise ValueError("a literal cannot have both lang and datatype")
-        if isinstance(value, bool):
+        if type(value) is str:  # the common case: a lexical form
+            lexical = value
+        elif isinstance(value, bool):
             lexical = "true" if value else "false"
             datatype = datatype or XSD_BOOLEAN
         elif isinstance(value, int):
@@ -115,8 +117,10 @@ class Literal:
             datatype = datatype or XSD_DATE
         else:
             lexical = str(value)
+        if type(datatype) is not IRI:
+            datatype = IRI(datatype) if datatype else None
         self.lexical = lexical
-        self.datatype = IRI(datatype) if datatype else None
+        self.datatype = datatype
         self.lang = lang.lower() if lang else None
 
     # -- value space ----------------------------------------------------

@@ -8,6 +8,7 @@ Entry point::
 
 from typing import Callable, Optional
 
+from ..geometry import clear_geometry_cache
 from ..rdf.graph import Graph
 from .evaluator import (
     Context,
@@ -19,7 +20,6 @@ from .evaluator import (
 from .plan import PlanNode
 from .functions import (
     SparqlValueError,
-    clear_geometry_cache,
     geometry_from_term,
     geometry_to_term,
     register_extension,

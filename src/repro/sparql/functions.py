@@ -12,7 +12,7 @@ import re
 from datetime import datetime, timezone
 from typing import Callable, Dict, Optional
 
-from ..geometry import Geometry, wkt_dumps, wkt_loads
+from ..geometry import Geometry, wkt_dumps, wkt_loads_cached
 from ..geometry import ops as geo_ops
 from ..geometry.wkt import split_crs, to_wkt_literal
 from ..rdf.namespace import GEOF, STRDF, XSD
@@ -32,37 +32,22 @@ class SparqlValueError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Geometry literal handling (with a parse cache — WKT parsing dominates
-# spatial query time otherwise)
+# Geometry literal handling (through the shared WKT parse cache — WKT
+# parsing dominates spatial query time otherwise)
 # ---------------------------------------------------------------------------
-
-_GEOM_CACHE: Dict[str, Geometry] = {}
-_GEOM_CACHE_MAX = 100_000
-
 
 def geometry_from_term(term: Term) -> Geometry:
     """Parse a geo:wktLiteral (or plain WKT literal) into a Geometry."""
     if not isinstance(term, Literal):
         raise SparqlValueError(f"not a geometry literal: {term!r}")
-    key = term.lexical
-    geom = _GEOM_CACHE.get(key)
-    if geom is None:
-        try:
-            geom = wkt_loads(key)
-        except Exception as exc:
-            raise SparqlValueError(f"bad WKT literal: {exc}") from None
-        if len(_GEOM_CACHE) >= _GEOM_CACHE_MAX:
-            _GEOM_CACHE.clear()
-        _GEOM_CACHE[key] = geom
-    return geom
+    try:
+        return wkt_loads_cached(term.lexical)
+    except Exception as exc:
+        raise SparqlValueError(f"bad WKT literal: {exc}") from None
 
 
 def geometry_to_term(geom: Geometry) -> Literal:
     return Literal(to_wkt_literal(geom), datatype=GEO_WKT_LITERAL)
-
-
-def clear_geometry_cache() -> None:
-    _GEOM_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,58 @@ def test_spatial_udf_over_virtual_table(setup):
         f"SELECT count(*) AS n FROM (opendap url:{URL})"
     )
     assert 0 < rows[0]["n"] < all_rows[0]["n"]
+
+
+class _CountingBudget:
+    """Just enough of a QueryBudget to count the flatten's deadline checks."""
+
+    def __init__(self):
+        self.deadline_checks = 0
+
+    def charge_fetch(self):
+        pass
+
+    def check_deadline(self):
+        self.deadline_checks += 1
+
+
+def test_flatten_pins_ids_loc_and_order():
+    """Two time steps over a 2x3 grid with fill values: every row's id,
+    value, timestamp and POINT text, in time, lat, lon order."""
+    from repro.opendap import DapDataset
+
+    dataset = DapDataset("G")
+    dataset.add_variable("time", ("time",), [0, 10],
+                         {"units": "days since 2018-06-01 00:00:00"})
+    dataset.add_variable("lat", ("lat",), [48.5, 48.75])
+    dataset.add_variable("lon", ("lon",), [2.0, 2.25, 2.5])
+    dataset.add_variable(
+        "LAI", ("time", "lat", "lon"),
+        [[[2, -1, 4], [6, 8, -1]],
+         [[-1, -1, 1], [3, 5, 7]]],
+        {"_FillValue": -1, "scale_factor": 0.5},
+    )
+    server = DapServer("grid.test", latency=LatencyModel(sleep=False))
+    server.mount("G", dataset)
+    registry = ServerRegistry()
+    registry.register(server)
+    operator = attach_opendap(MadisConnection(), registry)
+    budget = _CountingBudget()
+
+    columns, rows = operator("dap://grid.test/G", budget=budget)
+
+    assert columns == ("id", "LAI", "ts", "loc")
+    t0, t1 = "2018-06-01T00:00:00Z", "2018-06-11T00:00:00Z"
+    assert rows == [
+        ("2.0000_48.5000_201806010000", 1.0, t0, "POINT (2 48.5)"),
+        ("2.5000_48.5000_201806010000", 2.0, t0, "POINT (2.5 48.5)"),
+        ("2.0000_48.7500_201806010000", 3.0, t0, "POINT (2 48.75)"),
+        ("2.2500_48.7500_201806010000", 4.0, t0, "POINT (2.25 48.75)"),
+        ("2.5000_48.5000_201806110000", 0.5, t1, "POINT (2.5 48.5)"),
+        ("2.0000_48.7500_201806110000", 1.5, t1, "POINT (2 48.75)"),
+        ("2.2500_48.7500_201806110000", 2.5, t1, "POINT (2.25 48.75)"),
+        ("2.5000_48.7500_201806110000", 3.5, t1, "POINT (2.5 48.75)"),
+    ]
+    assert all(type(row[1]) is float for row in rows)
+    # one cooperative deadline check per latitude row of each time step
+    assert budget.deadline_checks == 2 * 2

@@ -136,3 +136,70 @@ def test_iri_spaces_sanitized():
     triples = parse_target("lai:{name} a lai:Park .", ns)
     t = triples[0].instantiate({"name": "Bois de Boulogne"}, {})
     assert " " not in str(t.s)
+
+
+# -- compiled templates --------------------------------------------------------
+
+def _literal(text, datatype=None, lang=None):
+    from repro.ontop.mapping import NodeTemplate
+
+    return NodeTemplate("literal", text, datatype=datatype, lang=lang)
+
+
+def test_compiled_template_two_placeholders_and_adjacent_text():
+    from repro.ontop.mapping import NodeTemplate
+
+    node = NodeTemplate("iri", "http://ex/obs/{lon}_{lat}/v")
+    assert node.columns == ["lon", "lat"]
+    term = node.instantiate({"lon": 2.25, "lat": 48.5}, {})
+    assert term == IRI("http://ex/obs/2.25_48.5/v")
+    assert _literal("pre{a}{b}post").instantiate({"a": "x", "b": 7}, {}) \
+        == Literal("prex7post")
+
+
+def test_compiled_template_falsy_values_instantiate():
+    node = _literal("{v}", datatype=XSD.double)
+    for value, lexical in ((0, "0"), (0.0, "0.0"), ("", "")):
+        assert node.instantiate({"v": value}, {}) == \
+            Literal(lexical, datatype=XSD.double)
+
+
+def test_compiled_template_none_or_missing_column_is_none():
+    node = _literal("a{v}b")
+    assert node.instantiate({"v": None}, {}) is None
+    assert node.instantiate({}, {}) is None
+    assert node.instantiate({"other": 1}, {}) is None
+
+
+def test_compiled_template_iri_spaces_and_constant_text():
+    from repro.ontop.mapping import NodeTemplate
+
+    node = NodeTemplate("iri", "http://ex/park {name}")
+    assert node.instantiate({"name": "Bois de Boulogne"}, {}) == \
+        IRI("http://ex/park_Bois_de_Boulogne")
+    fixed = NodeTemplate("iri", "http://ex/fixed")
+    assert fixed.columns == []
+    assert fixed.instantiate({}, {}) == IRI("http://ex/fixed")
+
+
+def test_compiled_template_lang_tagged_literal():
+    node = _literal("{name}", lang="FR")
+    term = node.instantiate({"name": "Bois"}, {})
+    assert term == Literal("Bois", lang="fr")
+    assert term.datatype is None
+
+
+def test_compiled_template_datatype_is_an_iri():
+    node = _literal("{v}", datatype="http://www.w3.org/2001/XMLSchema#float")
+    assert type(node.datatype) is IRI
+    assert node == _literal("{v}", datatype=XSD.float)
+
+
+def test_instantiate_runs_no_regex(monkeypatch):
+    import repro.ontop.mapping as mapping_module
+
+    mappings, __ = parse_mapping_document(LISTING2)
+    monkeypatch.setattr(mapping_module, "re", None)
+    row = {"id": "x", "LAI": 1.5, "ts": "t", "loc": "POINT (0 0)"}
+    triples = [t.instantiate(row, {}) for t in mappings[0].target]
+    assert all(t is not None for t in triples)

@@ -168,3 +168,32 @@ def test_ontology_included():
 def test_ask_query(engine):
     assert engine.query(PREFIX + "ASK { ?p a ex:Park }").ask
     assert not engine.query(PREFIX + "ASK { ?p a ex:Volcano }").ask
+
+
+@pytest.mark.parametrize("relation", ["sfIntersects", "sfWithin"])
+def test_malformed_wkt_row_dropped_in_both_workflows(relation):
+    """One bad and one good WKT row: Strabon drops the bad row because
+    the FILTER errors on it; Ontop-spatial must give the same answer
+    (its pushed-down ST_* UDF returns NULL) instead of raising."""
+    from repro.strabon import StrabonStore
+
+    conn = MadisConnection()
+    conn.executescript("CREATE TABLE parks (id INTEGER, name TEXT, wkt TEXT);"
+                       "CREATE TABLE factories (id INTEGER, wkt TEXT);")
+    conn.execute("INSERT INTO parks VALUES (1, 'bad', 'POINT (0 0')")
+    conn.execute("INSERT INTO parks VALUES (2, 'good', 'POINT (0 0)')")
+    engine = OntopSpatial.from_document(conn, DOCUMENT)
+    window = "POLYGON ((-1 -1, 1 -1, 1 1, -1 1, -1 -1))"
+    query = PREFIX + f"""
+        SELECT ?p WHERE {{
+          ?p a ex:Park ; geo:hasGeometry ?g . ?g geo:asWKT ?w .
+          FILTER(geof:{relation}(?w, "{window}"^^geo:wktLiteral))
+        }}
+    """
+    store = StrabonStore()
+    engine.materialize(store)
+
+    virtual = [str(r["p"]) for r in engine.query(query)]
+    materialized = [str(r["p"]) for r in store.query(query)]
+    assert virtual == materialized == [EX + "park/2"]
+    assert any("ST_" in sql for sql in engine.last_sql)  # pushed down
