@@ -20,6 +20,7 @@ materialized workflow), so benchmarks can compare both modes.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -27,24 +28,27 @@ from ..geometry import Geometry, wkt_dumps
 from ..madis import MadisConnection
 from ..rdf import Graph
 from ..rdf.namespace import NamespaceManager
-from ..rdf.terms import BNode, IRI, Literal, Term, Triple
+from ..rdf.terms import BNode, IRI, Literal, Term
 from ..sparql.ast import (
     BGP,
+    Bind,
+    Filter,
     GroupGraphPattern,
     OptionalPattern,
     MinusPattern,
+    SelectQuery,
     ServicePattern,
     SubSelect,
     TriplePattern,
     UnionPattern,
     Var,
 )
-from ..sparql.evaluator import (
-    Context,
-    _extract_spatial_restrictions,
-    eval_query,
-)
+from ..sparql.evaluator import Context, eval_query, explain_query
+from ..sparql.expr import eval_expr, expr_has_exists, expr_variables
+from ..sparql.functions import SparqlValueError, effective_boolean_value
+from ..sparql.operators import extract_spatial_filters
 from ..sparql.parser import parse_query
+from ..sparql.plan import PlanNode
 from ..sparql.results import SPARQLResult
 from .mapping import (
     NodeTemplate,
@@ -188,10 +192,7 @@ class OntopSpatial:
             self.relevant_mappings(where) if where is not None
             else list(self.mappings)
         )
-        restrictions = (
-            _extract_spatial_restrictions(where.elements, None)
-            if where is not None else {}
-        )
+        restrictions = _spatial_restrictions(where)
         if tracer is None:
             graph = self._instantiate(mappings, where, restrictions,
                                       budget=budget)
@@ -365,31 +366,21 @@ class OntopSpatial:
         pattern. Shared by execution (``_try_direct_sql``) and
         ``explain``.
         """
-        from ..sparql.ast import Bind as BindEl
-        from ..sparql.ast import Filter as FilterEl
-        from ..sparql.ast import SelectQuery
-        from ..sparql.evaluator import _projection_has_aggregate
-
         if not isinstance(ast, SelectQuery):
             return None
         if not ast.projections:
             return None
-        needs_grouping = bool(ast.group_by) or \
-            _projection_has_aggregate(ast)
 
         bgps = [e for e in ast.where.elements if isinstance(e, BGP)]
-        filters = [e for e in ast.where.elements
-                   if isinstance(e, FilterEl)]
-        binds = [e for e in ast.where.elements if isinstance(e, BindEl)]
+        filters = [e for e in ast.where.elements if isinstance(e, Filter)]
+        binds = [e for e in ast.where.elements if isinstance(e, Bind)]
         if len(bgps) != 1 or len(bgps[0].patterns) == 0:
             return None
         if len(bgps) + len(filters) + len(binds) != \
                 len(ast.where.elements):
             return None
-        if any(_contains_exists(f.expr) for f in filters):
+        if any(expr_has_exists(e.expr) for e in filters + binds):
             return None  # EXISTS needs the full virtual graph
-        if any(_contains_exists(b.expr) for b in binds):
-            return None
         patterns = bgps[0].patterns
 
         # exactly one mapping must match *every* pattern (the anchor)
@@ -427,19 +418,17 @@ class OntopSpatial:
                     var_templates[term.name] = node
 
         sql = mapping.source_sql
-        restrictions = _extract_spatial_restrictions(
-            ast.where.elements, None
-        )
+        restrictions = _spatial_restrictions(ast.where)
         pushed = self._push_spatial_filter(
             mapping, ast.where, restrictions
         )
         pushed_var = None
+        residual_filters = filters
         if pushed is not None:
+            # the SQL answers exactly the one FILTER it was built from
             sql, pushed_var = pushed
-        residual_filters = [
-            f for f in filters
-            if not _is_pushed_spatial(f, pushed_var)
-        ]
+            pushed_filter = restrictions[pushed_var].filter
+            residual_filters = [f for f in filters if f is not pushed_filter]
         return {
             "mapping": mapping,
             "sql": sql,
@@ -447,7 +436,8 @@ class OntopSpatial:
             "var_templates": var_templates,
             "binds": binds,
             "residual_filters": residual_filters,
-            "needs_grouping": needs_grouping,
+            # the solution modifiers, run by the engine over the rows
+            "tail": dataclasses.replace(ast, where=GroupGraphPattern()),
         }
 
     def _try_direct_sql(self, ast, budget=None,
@@ -457,23 +447,16 @@ class OntopSpatial:
         if recipe is None:
             return None
         if tracer is None:
-            return self._run_direct_sql(ast, recipe, budget)
+            return self._run_direct_sql(recipe, budget)
         with tracer.span("ontop.direct_sql",
                          mapping=recipe["mapping"].mapping_id):
-            return self._run_direct_sql(ast, recipe, budget)
+            return self._run_direct_sql(recipe, budget)
 
-    def _run_direct_sql(self, ast, recipe, budget) -> SPARQLResult:
-        from ..sparql.evaluator import eval_expr
-        from ..sparql.functions import SparqlValueError, \
-            effective_boolean_value
-        from ..sparql.operators import _order_key
-        from ..sparql.plan import expr_variables
-
+    def _run_direct_sql(self, recipe, budget) -> SPARQLResult:
         sql = recipe["sql"]
         var_templates = recipe["var_templates"]
         binds = recipe["binds"]
         residual_filters = recipe["residual_filters"]
-        needs_grouping = recipe["needs_grouping"]
 
         # Filter first: without a BIND, build only the terms the residual
         # filters read, and the rest only for rows that pass. A row is
@@ -527,70 +510,22 @@ class OntopSpatial:
                                 for name in var_templates}
             binding_rows.append(bindings)
 
-        if needs_grouping:
-            from ..sparql.evaluator import _group_and_aggregate
-
-            out_rows = _group_and_aggregate(ast, binding_rows, ctx)
-            binding_rows = out_rows
-        for cond in reversed(ast.order_by):
-            binding_rows.sort(
-                key=lambda row, cond=cond: _order_key(cond, row, ctx),
-                reverse=cond.descending,
-            )
-        if needs_grouping:
-            out_rows = binding_rows
-        else:
-            out_rows = []
-            for bindings in binding_rows:
-                projected = {}
-                for proj in ast.projections:
-                    if proj.expr is None:
-                        value = bindings.get(proj.var.name)
-                        if value is not None:
-                            projected[proj.var.name] = value
-                    else:
-                        try:
-                            projected[proj.var.name] = eval_expr(
-                                proj.expr, bindings, ctx
-                            )
-                        except SparqlValueError:
-                            pass
-                out_rows.append(projected)
-
-        if ast.distinct:
-            seen = set()
-            unique = []
-            for row in out_rows:
-                key = tuple(
-                    (v, row[v].n3() if hasattr(row[v], "n3")
-                     else str(row[v]))
-                    for v in sorted(row)
-                )
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            out_rows = unique
-        if ast.offset:
-            out_rows = out_rows[ast.offset:]
-        if ast.limit is not None:
-            out_rows = out_rows[: ast.limit]
-        if budget is not None:
-            budget.charge_rows(len(out_rows))
+        # GROUP BY, ORDER BY, projection, DISTINCT and OFFSET/LIMIT are
+        # the engine's: the rows seed the query's empty-WHERE tail, which
+        # also charges the result-row budget.
+        result = eval_query(recipe["tail"], ctx, seed_rows=binding_rows)
         plan = self._direct_sql_node(recipe)
-        plan.actual_rows = len(out_rows)
-        return SPARQLResult(
-            "SELECT",
-            variables=[p.var.name for p in ast.projections],
-            rows=out_rows,
-            budget_stats=budget.snapshot() if budget is not None else None,
-            plan=plan,
-        )
+        plan.children.append(result.plan)
+        plan.actual_rows = len(result.rows)
+        result.plan = plan
+        if budget is not None:
+            result.budget_stats = budget.snapshot()
+        return result
 
     @staticmethod
     def _direct_sql_node(recipe):
-        """Plan node describing one direct-SQL unfolding."""
-        from ..sparql.plan import PlanNode
-
+        """Plan node describing one direct-SQL unfolding (without the
+        engine plan of its solution modifiers)."""
         mapping = recipe["mapping"]
         node = PlanNode("OntopDirectSQL", mapping.mapping_id)
         sql_detail = " ".join(str(recipe["sql"]).split())
@@ -617,24 +552,19 @@ class OntopSpatial:
         there are structural only, since the virtual graph is not
         materialized for EXPLAIN.
         """
-        from ..sparql.evaluator import Context as EvalContext
-        from ..sparql.evaluator import explain_query
-        from ..sparql.plan import PlanNode
-
         ast = parse_query(sparql_text, namespaces=self.namespaces)
-        recipe = self._direct_sql_plan(ast) \
-            if hasattr(ast, "projections") else None
+        recipe = self._direct_sql_plan(ast)
         if recipe is not None:
-            return self._direct_sql_node(recipe)
+            root = self._direct_sql_node(recipe)
+            root.children.append(
+                explain_query(recipe["tail"], Context(Graph())))
+            return root
         where = getattr(ast, "where", None)
         mappings = (
             self.relevant_mappings(where) if where is not None
             else list(self.mappings)
         )
-        restrictions = (
-            _extract_spatial_restrictions(where.elements, None)
-            if where is not None else {}
-        )
+        restrictions = _spatial_restrictions(where)
         root = PlanNode("OntopVirtual", f"{len(mappings)} mappings")
         for mapping in mappings:
             pushed = self._push_spatial_filter(mapping, where, restrictions)
@@ -644,7 +574,7 @@ class OntopSpatial:
             root.children.append(PlanNode("Instantiate", detail))
         placeholder = Graph()
         placeholder.namespaces = self.namespaces
-        root.children.append(explain_query(ast, EvalContext(placeholder)))
+        root.children.append(explain_query(ast, Context(placeholder)))
         return root
 
     def _wrap_sql(self, base_sql: str, column: str, sql_fn: str,
@@ -719,8 +649,6 @@ def _templates_disjoint(a: NodeTemplate, b: NodeTemplate) -> bool:
 
 def _constant_disjoint(a: NodeTemplate, b: NodeTemplate) -> bool:
     const, other = (a, b) if a.kind == "constant" else (b, a)
-    from ..rdf.terms import Literal as RdfLiteral
-
     value = const.constant
     if other.kind == "iri":
         if not isinstance(value, IRI):
@@ -728,53 +656,17 @@ def _constant_disjoint(a: NodeTemplate, b: NodeTemplate) -> bool:
         prefix = other.text.split("{", 1)[0]
         return not str(value).startswith(prefix)
     if other.kind == "literal":
-        if not isinstance(value, RdfLiteral):
+        if not isinstance(value, Literal):
             return True
         return value.datatype != other.datatype or value.lang != other.lang
     return True
 
 
-def _contains_exists(expr) -> bool:
-    from ..sparql.ast import (
-        BinaryExpr, ExistsExpr, FunctionCall, InExpr, UnaryExpr,
-    )
-
-    if isinstance(expr, ExistsExpr):
-        return True
-    if isinstance(expr, BinaryExpr):
-        return _contains_exists(expr.left) or _contains_exists(expr.right)
-    if isinstance(expr, UnaryExpr):
-        return _contains_exists(expr.operand)
-    if isinstance(expr, FunctionCall):
-        return any(_contains_exists(a) for a in expr.args)
-    if isinstance(expr, InExpr):
-        return _contains_exists(expr.value) or any(
-            _contains_exists(o) for o in expr.options
-        )
-    return False
-
-
-def _is_pushed_spatial(filter_element, pushed_var: Optional[str]) -> bool:
-    """True when this FILTER is the one the SQL pushdown applied."""
-    from ..sparql.ast import FunctionCall, TermExpr, VarExpr
-    from ..sparql.functions import SPATIAL_RELATIONS
-
-    if pushed_var is None:
-        return False
-    expr = filter_element.expr
-    if not isinstance(expr, FunctionCall):
-        return False
-    if expr.name not in SPATIAL_RELATIONS or len(expr.args) != 2:
-        return False
-    a, b = expr.args
-    var = a if isinstance(a, VarExpr) else b if isinstance(b, VarExpr) \
-        else None
-    const = a if isinstance(a, TermExpr) else b \
-        if isinstance(b, TermExpr) else None
-    return (
-        var is not None and const is not None
-        and var.var.name == pushed_var
-    )
+def _spatial_restrictions(where: Optional[GroupGraphPattern]):
+    """Constant-geometry spatial FILTERs of *where*, by variable."""
+    if where is None:
+        return {}
+    return extract_spatial_filters(where.elements)[0]
 
 
 def _collect_patterns(group: GroupGraphPattern):

@@ -10,13 +10,8 @@ from typing import Callable, Optional
 
 from ..geometry import clear_geometry_cache
 from ..rdf.graph import Graph
-from .evaluator import (
-    Context,
-    EvaluationError,
-    eval_group,
-    eval_query,
-    explain_query,
-)
+from .evaluator import Context, eval_group, eval_query, explain_query
+from .expr import EvaluationError
 from .plan import PlanNode
 from .functions import (
     SparqlValueError,

@@ -60,7 +60,7 @@ from .ast import (
     UnionPattern,
     Var,
 )
-from .evaluator import Context, eval_group, eval_query
+from .evaluator import Context, eval_group, eval_query, explain_query
 from .parser import parse_query
 from .results import Solution, SPARQLResult
 from .stats import federation_signature
@@ -728,8 +728,6 @@ class FederationEngine:
                               partial=True, failures=failures,
                               pool=self.pool, stats_store=self.stats_store)
         ast = parse_query(text, namespaces=view.namespaces)
-        from .evaluator import explain_query
-
         return explain_query(ast, Context(view, stats=self.stats_store))
 
     def request_counts(self) -> Dict[str, int]:

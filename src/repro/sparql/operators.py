@@ -26,22 +26,33 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..rdf.terms import literal_cmp_key, Literal
 from .ast import (
     Bind,
+    Filter,
+    FunctionCall,
     InlineValues,
     OrderCondition,
     SelectQuery,
     ServicePattern,
+    TermExpr,
     TriplePattern,
     Var,
+    VarExpr,
+)
+from .expr import (
+    EvaluationError,
+    eval_expr,
+    group_and_aggregate,
+    order_key,
 )
 from .functions import (
+    SPATIAL_RELATIONS,
     SparqlValueError,
     effective_boolean_value,
     geometry_from_term,
 )
 from .results import Solution
+from .spill import DEFAULT_SPILL_DIR, SpillHashJoin
 
 
 def charge_scan(ctx) -> None:
@@ -76,7 +87,7 @@ class Operator:
         fetches, retry attempts) parent under the operator that pulled
         them.
         """
-        trace = getattr(ctx, "trace", None)
+        trace = ctx.trace
         if trace is None:
             return self.rows(ctx)
         return self._traced_rows(ctx, trace)
@@ -166,6 +177,90 @@ def _extend_terms(pattern: TriplePattern, triple,
 # ---------------------------------------------------------------------------
 # Spatial leaves: an R-tree probe in place of a scan
 # ---------------------------------------------------------------------------
+
+class SpatialRestriction:
+    """``FILTER(geof:sfX(?v, <const>))`` seen from its variable.
+
+    ``filter`` is the FILTER element it came from, so a consumer that
+    answers the restriction elsewhere (Ontop's SQL pushdown) drops
+    exactly that element and keeps every other one.
+    """
+
+    __slots__ = ("relation", "geometry", "filter")
+    #: The R-tree probe uses the constant geometry (no join partner).
+    partner = None
+
+    def __init__(self, relation: str, geometry, filter_element: Filter):
+        self.relation = relation
+        self.geometry = geometry
+        self.filter = filter_element
+
+
+class SpatialJoin:
+    """A variable–variable spatial FILTER, seen from one of its variables.
+
+    ``relation`` reads "this variable *relation* ``?partner``"; the
+    R-tree probe uses the partner's bound geometry.
+    """
+
+    __slots__ = ("relation", "partner")
+
+    def __init__(self, relation: str, partner: str):
+        self.relation = relation
+        self.partner = partner
+
+
+def extract_spatial_filters(elements) -> Tuple[
+        Dict[str, SpatialRestriction], Dict[str, List[SpatialJoin]]]:
+    """The spatial FILTERs of a group: ``(restrictions, joins)``.
+
+    ``FILTER(geof:sfX(?v, <const>))`` becomes a restriction on ``?v``
+    (the last one wins when a variable has several; constants that do
+    not parse as geometries are skipped). ``FILTER(geof:sfX(?a, ?b))``
+    is listed under both of its variables, in filter order, so
+    whichever side is bound first can probe the other's R-tree (``?b``
+    of ``sfContains(?a, ?b)`` is ``within ?a``). All seven relations
+    imply intersecting bounding boxes, which is what makes the index
+    probe a safe pre-filter.
+    """
+    restrictions: Dict[str, SpatialRestriction] = {}
+    joins: Dict[str, List[SpatialJoin]] = {}
+    for el in elements:
+        if not isinstance(el, Filter):
+            continue
+        expr = el.expr
+        if not isinstance(expr, FunctionCall):
+            continue
+        relation = SPATIAL_RELATIONS.get(expr.name)
+        if relation is None or len(expr.args) != 2:
+            continue
+        a, b = expr.args
+        if isinstance(a, VarExpr) and isinstance(b, VarExpr):
+            a, b = a.var.name, b.var.name
+            if a != b:
+                joins.setdefault(a, []).append(SpatialJoin(relation, b))
+                joins.setdefault(b, []).append(
+                    SpatialJoin(_invert_relation(relation), a))
+            continue
+        if isinstance(a, VarExpr) and isinstance(b, TermExpr):
+            var_arg, const_arg = a, b
+        elif isinstance(b, VarExpr) and isinstance(a, TermExpr):
+            var_arg, const_arg = b, a
+            relation = _invert_relation(relation)
+        else:
+            continue
+        try:
+            geom = geometry_from_term(const_arg.term)
+        except SparqlValueError:
+            continue
+        restrictions[var_arg.var.name] = SpatialRestriction(relation, geom,
+                                                            el)
+    return restrictions, joins
+
+
+def _invert_relation(relation: str) -> str:
+    return {"contains": "within", "within": "contains"}.get(relation, relation)
+
 
 class SpatialFilters:
     """A group's pushable spatial FILTERs, as one store can serve them.
@@ -279,7 +374,7 @@ class BGPOp(Operator):
         specs = self._resolve_specs(graph) if id_mode else None
         adaptive = (id_mode
                     and len(self.patterns) >= 2
-                    and getattr(ctx, "replan_ratio", None) is not None)
+                    and ctx.replan_ratio is not None)
         for row in self.source.stream(ctx):
             _tick(ctx)
             self.node.probes += 1
@@ -581,7 +676,7 @@ class BGPOp(Operator):
                 "diverged": self.scan_nodes[stage_idx].detail,
                 "order": [self.scan_nodes[i].detail for i in new_order],
             })
-        trace = getattr(ctx, "trace", None)
+        trace = ctx.trace
         if trace is not None:
             with trace.tracer.span(
                 "bgp.replan",
@@ -633,8 +728,6 @@ class FilterOp(Operator):
         self.expr = expr
 
     def rows(self, ctx) -> Iterator[Solution]:
-        from .evaluator import eval_expr
-
         for row in self.source.stream(ctx):
             try:
                 if effective_boolean_value(eval_expr(self.expr, row, ctx)):
@@ -649,8 +742,6 @@ class BindOp(Operator):
         self.bind = bind
 
     def rows(self, ctx) -> Iterator[Solution]:
-        from .evaluator import eval_expr
-
         for row in self.source.stream(ctx):
             row = dict(row)
             try:
@@ -761,12 +852,10 @@ def _build_joiner(ctx, node, join_key, right_rows):
     the caller — operators do so in a ``finally``). Both joiners
     produce byte-identical output for the same inputs.
     """
-    threshold = getattr(ctx, "spill_threshold", None)
+    threshold = ctx.spill_threshold
     if threshold is None:
         return _HashJoiner(right_rows), None
-    from .spill import DEFAULT_SPILL_DIR, SpillHashJoin
-
-    spill_dir = getattr(ctx, "spill_dir", None) or DEFAULT_SPILL_DIR
+    spill_dir = ctx.spill_dir or DEFAULT_SPILL_DIR
     tag = f"{(node.label or 'join').lower()}-n{node.id or 0}"
     joiner = SpillHashJoin(join_key or (), max_build_rows=threshold,
                            spill_dir=spill_dir, tag=tag, budget=ctx.budget)
@@ -824,15 +913,13 @@ class SubSelectOp(Operator):
         self.join_key = tuple(join_key)
 
     def rows(self, ctx) -> Iterator[Solution]:
-        from .evaluator import eval_query
-
         joiner = None
         spill = None
         try:
             for row in self.source.stream(ctx):
                 _tick(ctx)
                 if joiner is None:
-                    sub_result = eval_query(self.query, ctx)
+                    sub_result = ctx.eval_query(self.query)
                     joiner, spill = _build_joiner(ctx, self.node,
                                                   self.join_key,
                                                   sub_result.rows)
@@ -852,8 +939,6 @@ class ServiceOp(Operator):
         self.join_key = tuple(join_key)
 
     def rows(self, ctx) -> Iterator[Solution]:
-        from .evaluator import EvaluationError
-
         joiner = None
         spill = None
         try:
@@ -890,23 +975,9 @@ class AggregateOp(Operator):
         self.query = query
 
     def rows(self, ctx) -> Iterator[Solution]:
-        from .evaluator import _group_and_aggregate
-
         input_rows = list(self.source.stream(ctx))
-        for row in _group_and_aggregate(self.query, input_rows, ctx):
+        for row in group_and_aggregate(self.query, input_rows, ctx):
             yield self._emit(row)
-
-
-def _order_key(cond: OrderCondition, row: Solution, ctx):
-    from .evaluator import eval_expr
-
-    try:
-        term = eval_expr(cond.expr, row, ctx)
-    except SparqlValueError:
-        return ((-1, 0.0), "")
-    if isinstance(term, Literal):
-        return (literal_cmp_key(term), "")
-    return ((4, 0.0), str(term))
 
 
 class OrderByOp(Operator):
@@ -922,7 +993,7 @@ class OrderByOp(Operator):
         # condition dominates.
         for cond in reversed(self.conditions):
             input_rows.sort(
-                key=lambda row, cond=cond: _order_key(cond, row, ctx),
+                key=lambda row, cond=cond: order_key(cond, row, ctx),
                 reverse=cond.descending,
             )
         for row in input_rows:
@@ -971,7 +1042,7 @@ class TopKOp(Operator):
             # stable sorted(...)[:k], so ties keep input order exactly
             # like the full sort (and like the mixed-direction path).
             keyed = (
-                (tuple(_order_key(cond, row, ctx) for cond in conds), row)
+                (tuple(order_key(cond, row, ctx) for cond in conds), row)
                 for row in self.source.stream(ctx)
             )
             pick = (heapq.nlargest if directions == {True}
@@ -982,7 +1053,7 @@ class TopKOp(Operator):
         entries = (
             _TopKEntry(
                 row,
-                [(_order_key(cond, row, ctx), cond.descending)
+                [(order_key(cond, row, ctx), cond.descending)
                  for cond in conds],
                 index,
             )
@@ -998,8 +1069,6 @@ class ProjectOp(Operator):
         self.query = query
 
     def rows(self, ctx) -> Iterator[Solution]:
-        from .evaluator import eval_expr
-
         for row in self.source.stream(ctx):
             out: Solution = {}
             for proj in self.query.projections:

@@ -30,19 +30,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .ast import (
-    Aggregate,
     AskQuery,
     BGP,
-    BinaryExpr,
     Bind,
     ConstructQuery,
     DescribeQuery,
-    ExistsExpr,
-    Expr,
     Filter,
-    FunctionCall,
     GroupGraphPattern,
-    InExpr,
     InlineValues,
     MinusPattern,
     OptionalPattern,
@@ -51,13 +45,19 @@ from .ast import (
     ServicePattern,
     SubSelect,
     TriplePattern,
-    UnaryExpr,
     UnionPattern,
     Var,
-    VarExpr,
 )
 from . import operators as ops
 from . import stats as stats_mod
+from .expr import (
+    EvaluationError,
+    element_binding_vars,
+    expr_has_exists,
+    expr_variables,
+    group_binding_vars,
+    projection_has_aggregate,
+)
 
 
 class PlanNode:
@@ -185,86 +185,8 @@ class PlanNode:
 
 
 # ---------------------------------------------------------------------------
-# Expression / pattern analysis helpers
+# Pattern text
 # ---------------------------------------------------------------------------
-
-def expr_variables(expr: Optional[Expr]) -> Set[str]:
-    """Variable names mentioned anywhere in an expression."""
-    out: Set[str] = set()
-    if expr is None:
-        return out
-    if isinstance(expr, VarExpr):
-        out.add(expr.var.name)
-    elif isinstance(expr, UnaryExpr):
-        out |= expr_variables(expr.operand)
-    elif isinstance(expr, BinaryExpr):
-        out |= expr_variables(expr.left) | expr_variables(expr.right)
-    elif isinstance(expr, FunctionCall):
-        for a in expr.args:
-            out |= expr_variables(a)
-    elif isinstance(expr, InExpr):
-        out |= expr_variables(expr.value)
-        for a in expr.options:
-            out |= expr_variables(a)
-    elif isinstance(expr, ExistsExpr):
-        out |= group_binding_vars(expr.group)
-    elif isinstance(expr, Aggregate):
-        out |= expr_variables(expr.expr)
-    return out
-
-
-def _expr_has_exists(expr: Optional[Expr]) -> bool:
-    if expr is None:
-        return False
-    if isinstance(expr, ExistsExpr):
-        return True
-    if isinstance(expr, UnaryExpr):
-        return _expr_has_exists(expr.operand)
-    if isinstance(expr, BinaryExpr):
-        return _expr_has_exists(expr.left) or _expr_has_exists(expr.right)
-    if isinstance(expr, FunctionCall):
-        return any(_expr_has_exists(a) for a in expr.args)
-    if isinstance(expr, InExpr):
-        return _expr_has_exists(expr.value) or any(
-            _expr_has_exists(a) for a in expr.options
-        )
-    return False
-
-
-def element_binding_vars(element) -> Set[str]:
-    """Variables a group element may (re)bind in passing rows."""
-    if isinstance(element, BGP):
-        return {v.name for p in element.patterns for v in p.variables()}
-    if isinstance(element, (OptionalPattern, MinusPattern)):
-        # MINUS never extends rows, but be conservative for OPTIONAL
-        if isinstance(element, MinusPattern):
-            return set()
-        return group_binding_vars(element.group)
-    if isinstance(element, UnionPattern):
-        out: Set[str] = set()
-        for alt in element.alternatives:
-            out |= group_binding_vars(alt)
-        return out
-    if isinstance(element, Bind):
-        return {element.var.name}
-    if isinstance(element, InlineValues):
-        return {v.name for v in element.variables}
-    if isinstance(element, SubSelect):
-        sub = element.query
-        if sub.projections:
-            return {p.var.name for p in sub.projections}
-        return group_binding_vars(sub.where)
-    if isinstance(element, ServicePattern):
-        return group_binding_vars(element.group)
-    return set()
-
-
-def group_binding_vars(group: GroupGraphPattern) -> Set[str]:
-    out: Set[str] = set()
-    for element in group.elements:
-        out |= element_binding_vars(element)
-    return out
-
 
 def _node_text(node) -> str:
     if isinstance(node, Var):
@@ -442,7 +364,7 @@ def _place_filters(elements) -> List:
     for el in elements:
         if not isinstance(el, Filter):
             continue
-        if _expr_has_exists(el.expr):
+        if expr_has_exists(el.expr):
             tail.append(el)
             continue
         mentioned = expr_variables(el.expr)
@@ -468,12 +390,8 @@ def compile_group(group: GroupGraphPattern, ctx, source: "ops.Operator",
     variable names known to be bound in incoming rows (used for join
     ordering) and is updated in place as elements bind more.
     """
-    from .evaluator import (_extract_spatial_joins,
-                            _extract_spatial_restrictions)
-
     spatial = ops.SpatialFilters(
-        _extract_spatial_restrictions(group.elements, ctx),
-        _extract_spatial_joins(group.elements), ctx.graph)
+        *ops.extract_spatial_filters(group.elements), ctx.graph)
     top = source
     for element in _place_filters(group.elements):
         in_est = top.node.est_rows or 1.0
@@ -544,9 +462,8 @@ def compile_group(group: GroupGraphPattern, ctx, source: "ops.Operator",
                 "ServiceExchange", str(element.endpoint), est_rows=in_est
             )
             node.signature = stats_mod.service_signature(element.endpoint)
-            stats = getattr(ctx, "stats", None)
-            remote_mean = (stats.estimate(node.signature)
-                           if stats is not None else None)
+            remote_mean = (ctx.stats.estimate(node.signature)
+                           if ctx.stats is not None else None)
             if remote_mean is not None:
                 node.est_rows = in_est * remote_mean
                 node.est_source = SOURCE_FEEDBACK
@@ -556,8 +473,6 @@ def compile_group(group: GroupGraphPattern, ctx, source: "ops.Operator",
             top = ops.ServiceOp(node, top, element, join_key=join_key)
             bound |= element_binding_vars(element)
         else:  # pragma: no cover - parser prevents this
-            from .evaluator import EvaluationError
-
             raise EvaluationError(
                 f"unknown element {type(element).__name__}"
             )
@@ -577,7 +492,7 @@ def _static_join_key(bound: Set[str], element) -> Tuple[str, ...]:
 
 def _arm_spill(node: PlanNode, ctx) -> None:
     """Show ``spill=0`` on join nodes when a spill threshold is set."""
-    if getattr(ctx, "spill_threshold", None) is not None:
+    if ctx.spill_threshold is not None:
         node.spill = 0
 
 
@@ -587,7 +502,7 @@ def _filter_detail(element: Filter, spatial: "ops.SpatialFilters") -> str:
                     if v in spatial.restrictions or v in spatial.joins)
     if pushed:
         return "spatial on ?" + " ?".join(pushed)
-    if _expr_has_exists(element.expr):
+    if expr_has_exists(element.expr):
         return "exists"
     return "expr"
 
@@ -603,7 +518,7 @@ def compile_subplan(group: GroupGraphPattern, ctx,
 def _compile_bgp(bgp: BGP, ctx, source: "ops.Operator", bound: Set[str],
                  spatial: "ops.SpatialFilters") -> "ops.Operator":
     graph = ctx.graph
-    stats = getattr(ctx, "stats", None)
+    stats = ctx.stats
     ordered = order_patterns(bgp.patterns, bound, graph, spatial,
                              stats=stats)
     in_est = source.node.est_rows or 1.0
@@ -662,12 +577,10 @@ def plan_group(group: GroupGraphPattern, ctx,
 
 
 def plan_select(query: SelectQuery, ctx) -> "ops.SubPlan":
-    from .evaluator import _projection_has_aggregate
-
     seed = ops.SeedOp(PlanNode("Seed", est_rows=1.0))
     top = compile_group(query.where, ctx, seed, set())
 
-    needs_grouping = bool(query.group_by) or _projection_has_aggregate(query)
+    needs_grouping = bool(query.group_by) or projection_has_aggregate(query)
     in_est = top.node.est_rows or 1.0
     if needs_grouping:
         est = max(1.0, in_est / 4.0) if query.group_by else 1.0
@@ -756,6 +669,4 @@ def plan_query(query: Query, ctx) -> "ops.SubPlan":
         seed = ops.SeedOp(PlanNode("Seed", est_rows=1.0))
         _fill_sources(root)
         return ops.SubPlan(seed, seed, root=root)
-    from .evaluator import EvaluationError
-
     raise EvaluationError(f"unsupported query type {type(query).__name__}")

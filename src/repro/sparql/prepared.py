@@ -38,6 +38,7 @@ from ..rdf.terms import Term
 from .ast import AskQuery, SelectQuery
 from .evaluator import Context, eval_query
 from .parser import parse_query
+from .plan import plan_query
 from .results import SPARQLResult
 
 __all__ = ["PreparedQuery", "prepare"]
@@ -120,8 +121,6 @@ def prepare(graph: Graph, text: str,
     the prepared query records the store's version, so caches can tell
     when accumulated feedback has made the plan stale.
     """
-    from .plan import plan_query
-
     ast = parse_query(text, namespaces=graph.namespaces)
     sub = None
     if isinstance(ast, _REUSABLE_FORMS):

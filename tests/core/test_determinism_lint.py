@@ -313,7 +313,8 @@ STANDARD_TIER = {
     "repro/sextant/core.py", "repro/sextant/formats.py",
     "repro/sextant/map_ontology.py", "repro/sextant/svg.py",
     "repro/sparql/__init__.py", "repro/sparql/ast.py",
-    "repro/sparql/evaluator.py", "repro/sparql/federation.py",
+    "repro/sparql/evaluator.py", "repro/sparql/expr.py",
+    "repro/sparql/federation.py",
     "repro/sparql/functions.py", "repro/sparql/operators.py",
     "repro/sparql/parser.py", "repro/sparql/plan.py",
     "repro/sparql/prepared.py", "repro/sparql/results.py",

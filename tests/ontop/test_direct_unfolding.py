@@ -134,6 +134,27 @@ QUERIES_DIRECT = [
     # filter first, then ORDER BY a late-built variable
     PREFIX + "SELECT ?n ?a WHERE { ?p ex:hasName ?n ; ex:hasArea ?a ; "
              "a ex:Park FILTER(?a > 1) } ORDER BY DESC(?n)",
+    # two constant filters on the pushed variable: SQL answers one,
+    # the other stays a residual filter
+    PREFIX + """
+    SELECT ?p WHERE {
+      ?p a ex:Park ; geo:hasGeometry ?g . ?g geo:asWKT ?w .
+      FILTER(geof:sfIntersects(?w,
+        "POLYGON ((2.1 0.1, 3.9 0.1, 3.9 0.5, 2.1 0.5, 2.1 0.1))"^^geo:wktLiteral))
+      FILTER(geof:sfIntersects(?w,
+        "POLYGON ((3.1 0.1, 7.9 0.1, 7.9 0.5, 3.1 0.5, 3.1 0.1))"^^geo:wktLiteral))
+    }
+    """,
+    # a spatial filter whose constant does not parse is not pushed and
+    # still drops every row
+    PREFIX + """
+    SELECT ?p WHERE {
+      ?p a ex:Park ; geo:hasGeometry ?g . ?g geo:asWKT ?w .
+      FILTER(geof:sfIntersects(?w,
+        "POLYGON ((2.1 0.1, 3.9 0.1, 3.9 0.5, 2.1 0.5, 2.1 0.1))"^^geo:wktLiteral))
+      FILTER(geof:sfWithin(?w, "POLYGON ((oops))"^^geo:wktLiteral))
+    }
+    """,
 ]
 
 
@@ -198,6 +219,46 @@ def test_cross_mapping_spatial_join_correct(engine):
     )
     assert len(result) == 1
     assert str(result.rows[0]["p"]) == EX + "park/0"
+
+
+def _labels(node):
+    return [n.label for n in node.walk()]
+
+
+def test_explain_direct_shows_sql_filters_and_engine_tail(engine):
+    query = PREFIX + """
+    SELECT ?p WHERE {
+      ?p a ex:Park ; ex:hasArea ?a ; geo:hasGeometry ?g . ?g geo:asWKT ?w .
+      FILTER(geof:sfIntersects(?w,
+        "POLYGON ((2.1 0.1, 7.9 0.1, 7.9 0.5, 2.1 0.5, 2.1 0.1))"^^geo:wktLiteral))
+      FILTER(?a >= 4)
+    } ORDER BY DESC(?a) LIMIT 2
+    """
+    plan = engine.explain(query)
+    assert plan.label == "OntopDirectSQL"
+    sql, residual, tail = plan.children
+    assert sql.label == "SQL"
+    assert [c.label for c in sql.children] == ["SpatialPushdown"]
+    assert sql.children[0].detail == "?w"
+    assert (residual.label, residual.detail) == ("ResidualFilter",
+                                                 "1 filters")
+    assert _labels(tail) == ["Select", "Slice", "Project", "TopK", "Seed"]
+
+    result = engine.query(query)
+    assert _labels(result.plan) == _labels(plan)
+    assert [str(r["p"]) for r in result] == [EX + "park/7", EX + "park/6"]
+    assert result.plan.actual_rows == 2
+    assert result.plan.children[-1].actual_rows == 2
+
+
+def test_explain_generic_shows_instantiation_and_engine_plan(engine):
+    plan = engine.explain(PREFIX + "SELECT ?n WHERE { ?s ex:hasName ?n }")
+    assert (plan.label, plan.detail) == ("OntopVirtual", "2 mappings")
+    *instantiate, engine_plan = plan.children
+    assert [(c.label, c.detail) for c in instantiate] == [
+        ("Instantiate", "parks"), ("Instantiate", "factories")]
+    assert engine_plan.label == "Select"
+    assert "IndexScan" in _labels(engine_plan)
 
 
 def test_disjointness_guard_subject_templates(engine):

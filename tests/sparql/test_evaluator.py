@@ -218,6 +218,18 @@ def test_min_max_sum(g):
     assert row["total"].value == 90
 
 
+def test_min_max_over_group_without_literals_leave_unbound():
+    """MIN/MAX over IRIs only is an aggregate error, as over an empty
+    group: one row, the variable unbound."""
+    g = Graph()
+    g.add(ex("a"), ex("knows"), ex("b"))
+    g.add(ex("b"), ex("knows"), ex("c"))
+    for agg in ("MIN", "MAX"):
+        res = g.query(f"SELECT ({agg}(?o) AS ?m) WHERE {{ ?s ?p ?o }}")
+        assert res.vars == ["m"]
+        assert res.rows == [{}]
+
+
 def test_group_concat(g):
     res = g.query(
         "PREFIX ex: <http://example.org/> "
